@@ -22,9 +22,11 @@ from .datagen import (
     sparse_basis,
 )
 from .estimators import (
+    BlockEig,
     ClusterEvdConfig,
     ClusterEvdResult,
     EvdConfig,
+    block_eig,
     cluster_evd,
     consumed_samples,
     deflate,

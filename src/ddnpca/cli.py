@@ -29,6 +29,7 @@ def _cmd_run(args) -> int:
         cfg, out_dir, trials=args.trials, base_seed=args.seed
     )
     print(f"wrote {out_dir}/results.csv ({len(records)} records)")
+    print(f"thresh_used={bench.effective_thresh(cfg):g} (configured {cfg.thresh:g})")
     for m in summary:
         mean_se = "NA" if m.mean_se is None else f"{m.mean_se:.6f}"
         print(f"{m.method:12s} mean_se={mean_se}  mean_time_ms={m.mean_time_ms:.3f}  "

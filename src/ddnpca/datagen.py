@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ParameterError, ScheduleError
-from .linalg import check_basis, spectral_norm
+from .linalg import _fix_signs, check_basis, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,4 @@ def random_basis(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     if not 1 <= r <= n:
         raise DimensionError(f"r={r} out of range for n={n}")
     Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    idx = np.argmax(np.abs(Q), axis=0)
-    signs = np.sign(Q[idx, np.arange(r)])
-    signs[signs == 0.0] = 1.0
-    return Q * signs
+    return _fix_signs(Q)

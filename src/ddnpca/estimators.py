@@ -17,7 +17,7 @@ from .errors import (
     OrderError,
     ParameterError,
 )
-from .linalg import empirical_covariance, sym_eig
+from .linalg import _fix_signs, empirical_covariance, sym_eig
 
 _CONSUME_TOL = 1e-8  # orthonormality slack allowed on accumulated bases
 
@@ -62,36 +62,111 @@ class ClusterEvdResult:
             raise BasisError(f"estimated basis not orthonormal: max |P'P - I| = {err:.3e}")
 
 
-def simple_evd(Y, cfg: EvdConfig):
-    """Eigenvectors of the empirical covariance with eigenvalues strictly
-    above cfg.thresh, ordered by descending eigenvalue."""
-    C = empirical_covariance(Y)
-    ed = sym_eig(C)
-    count = int(np.count_nonzero(ed.eigenvalues > cfg.thresh))
-    if count == 0:
-        raise EmptySubspaceError(
-            f"no eigenvalue above thresh={cfg.thresh} (largest is {ed.eigenvalues[0]:.3e})"
-        )
-    return ed.eigenvectors[:, :count]
+@dataclass(frozen=True)
+class BlockEig:
+    """Eigendecomposition of Psi (YY'/alpha) Psi for one n x alpha block Y,
+    where Psi = I - GG' removes the directions G already found.
+
+    When alpha < n the smaller alpha x alpha matrix Z'Z/alpha, Z = Psi Y, is
+    factorized instead: it has the same nonzero eigenvalues, and an
+    eigenvector u of ZZ'/alpha is recovered from one v of Z'Z/alpha as
+    u = Z v / sqrt(alpha w).  `leading` lifts only the columns a caller asks
+    for.  Z itself is not kept; Z v is formed as Psi (Y v).
+    """
+
+    eigenvalues: np.ndarray  # shape (n,), non-increasing; exact zeros past rank alpha
+    block: np.ndarray        # the block Y as given, before deflation
+    G: np.ndarray | None     # the directions removed, None when none were
+    _vectors: np.ndarray     # n x n eigenvectors, or alpha x alpha ones to lift
+
+    def leading(self, k: int) -> np.ndarray:
+        """Sign-fixed n x k eigenvectors of the k largest eigenvalues."""
+        n, alpha = self.block.shape
+        if not 0 <= k <= n:
+            raise DimensionError(f"k={k} out of range for n={n}")
+        if self._vectors.shape[0] == n:
+            return self._vectors[:, :k]
+        w = self.eigenvalues[:k]
+        if k > 0 and not w[-1] > 0.0:
+            raise EmptySubspaceError(
+                f"eigenvalue {k} is {w[-1]:.3e}; only positive eigenvalues have a lifted eigenvector"
+            )
+        ZV = deflate(self.block @ self._vectors[:, :k], self.G)
+        return _fix_signs(ZV / np.sqrt(alpha * w))
 
 
-def deflate(G_det, n: int | None = None) -> np.ndarray:
-    """Projector onto the orthogonal complement of the detected directions:
-    Psi = I - G G'.  An empty G (None or zero columns) gives the identity."""
-    if G_det is None:
-        if n is None:
-            raise DimensionError("n is required when G_det is empty")
-        return np.eye(n)
-    G = np.asarray(G_det, dtype=float)
+def deflate(Y, G=None) -> np.ndarray:
+    """The block with the detected directions removed: (I - GG') Y, applied
+    in factor form as Y - G (G'Y).  An empty G (None or zero columns) gives
+    Y unchanged."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise DimensionError("Y must be 2-D")
+    if G is None:
+        return Y
+    G = np.asarray(G, dtype=float)
     if G.ndim != 2:
-        raise DimensionError("G_det must be 2-D")
-    n_rows, k = G.shape
+        raise DimensionError("G must be 2-D")
+    if G.shape[0] != Y.shape[0]:
+        raise DimensionError(f"G has {G.shape[0]} rows, Y has {Y.shape[0]}")
+    k = G.shape[1]
     if k == 0:
-        return np.eye(n_rows)
+        return Y
     err = np.max(np.abs(G.T @ G - np.eye(k)))
     if err > _CONSUME_TOL:
-        raise BasisError(f"G_det not orthonormal: max |G'G - I| = {err:.3e}")
-    return np.eye(n_rows) - G @ G.T
+        raise BasisError(f"G not orthonormal: max |G'G - I| = {err:.3e}")
+    Z = G @ (G.T @ Y)
+    return np.subtract(Y, Z, out=Z)  # in place: one n x alpha temporary, not two
+
+
+def block_eig(Y, G=None) -> BlockEig:
+    """Descending spectrum and leading eigenvectors of Psi (YY'/alpha) Psi,
+    Psi = I - GG', factorizing the smaller of the n x n and alpha x alpha
+    Gram matrices.  No n x n matrix is formed when alpha < n."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] < 1:
+        raise DimensionError("Y must be 2-D with at least one column")
+    n, alpha = Y.shape
+    if G is not None and np.ndim(G) == 2 and np.shape(G)[1] == 0:
+        G = None
+    # The deflated block is a temporary: it is released before the eigensolve.
+    if n <= alpha:
+        ed = sym_eig(empirical_covariance(deflate(Y, G)))
+        return BlockEig(ed.eigenvalues, Y, G, ed.eigenvectors)
+    ed = sym_eig(_alpha_gram(deflate(Y, G)))
+    # sym_eig's order puts every positive eigenvalue ahead of the padding, so
+    # the leading columns of ed.eigenvectors still pair with eigenvalues[:k].
+    w = np.sort(np.concatenate([ed.eigenvalues, np.zeros(n - alpha)]))[::-1]
+    return BlockEig(w, Y, G, ed.eigenvectors)
+
+
+def _alpha_gram(Z: np.ndarray) -> np.ndarray:
+    K = (Z.T @ Z) / Z.shape[1]
+    return (K + K.T) / 2.0
+
+
+def _check_source(eig: BlockEig, Y) -> None:
+    if eig.G is not None or (eig.block is not Y and not np.array_equal(eig.block, Y)):
+        raise ParameterError("the precomputed decomposition is not of this undeflated block")
+
+
+def simple_evd(Y, cfg: EvdConfig, eig: BlockEig | None = None):
+    """Eigenvectors of the empirical covariance with eigenvalues strictly
+    above cfg.thresh, ordered by descending eigenvalue.
+
+    `eig`, when given, is `block_eig(Y)` computed by the caller; it is used
+    instead of decomposing Y again.
+    """
+    if eig is None:
+        eig = block_eig(Y)
+    else:
+        _check_source(eig, Y)
+    count = int(np.count_nonzero(eig.eigenvalues > cfg.thresh))
+    if count == 0:
+        raise EmptySubspaceError(
+            f"no eigenvalue above thresh={cfg.thresh} (largest is {eig.eigenvalues[0]:.3e})"
+        )
+    return eig.leading(count)
 
 
 def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
@@ -123,13 +198,18 @@ def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
     return r_hat, stop
 
 
-def cluster_evd(y_blocks, cfg: ClusterEvdConfig, max_clusters: int | None = None) -> ClusterEvdResult:
+def cluster_evd(y_blocks, cfg: ClusterEvdConfig, max_clusters: int | None = None,
+                first_eig: BlockEig | None = None) -> ClusterEvdResult:
     """Cluster-by-cluster subspace estimation over a stream of n x alpha blocks.
 
     Each iteration deflates the directions found so far, eigendecomposes the
-    deflated covariance of the next block, detects the leading cluster's
-    width, and keeps that many eigenvectors.  The loop ends when the first
-    eigenvalue past the detected cluster drops below cfg.thresh.
+    deflated covariance of the next block (`block_eig`), detects the leading
+    cluster's width, and keeps that many eigenvectors.  The loop ends when
+    the first eigenvalue past the detected cluster drops below cfg.thresh.
+
+    `first_eig`, when given, is `block_eig` of the stream's first block,
+    computed by the caller (the harness shares it with `simple_evd`); the
+    first block is still drawn from the stream and checked.
 
     max_clusters is a safety cap (defaults to the ambient dimension); hitting
     it raises NonTerminationError rather than looping on degenerate data.
@@ -170,14 +250,16 @@ def cluster_evd(y_blocks, cfg: ClusterEvdConfig, max_clusters: int | None = None
         if Y.shape[1] != cfg.alpha:
             raise DimensionError(f"block {k} has {Y.shape[1]} columns, expected {cfg.alpha}")
 
-        Psi = deflate(G, n)
-        Mk = Psi @ empirical_covariance(Y) @ Psi
-        ed = sym_eig((Mk + Mk.T) / 2.0)
-        r_hat, stop = detect_cluster(ed.eigenvalues, cfg.g_hat, cfg.thresh)
-        Gk = ed.eigenvectors[:, :r_hat]
+        if k == 1 and first_eig is not None:
+            _check_source(first_eig, Y)
+            eig = first_eig
+        else:
+            eig = block_eig(Y, G)
+        r_hat, stop = detect_cluster(eig.eigenvalues, cfg.g_hat, cfg.thresh)
+        Gk = eig.leading(r_hat)
         G = Gk if G is None else np.hstack([G, Gk])
         sizes.append(r_hat)
-        spectra.append(ed.eigenvalues.copy())
+        spectra.append(eig.eigenvalues.copy())
         if stop:
             break
     return ClusterEvdResult(

@@ -1,9 +1,11 @@
 import dataclasses
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ddnpca import datagen
 from ddnpca.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -102,6 +104,18 @@ class TestRunTrial:
         b = run_trial(small_cfg(), 1)
         for x, y in zip(a, b):
             assert dataclasses.replace(x, time_ms=0.0) == dataclasses.replace(y, time_ms=0.0)
+
+    def test_time_excludes_data_generation(self, monkeypatch):
+        real = datagen.generate_dataset
+
+        def slow(*args, **kwargs):
+            time.sleep(0.15)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "generate_dataset", slow)
+        recs = run_trial(small_cfg(), 0)
+        assert recs[1].vartheta_hat > 1  # the cluster row drew later blocks
+        assert all(0.0 <= r.time_ms < 100.0 for r in recs)
 
     def test_noiseless_exact(self):
         recs = run_trial(small_cfg(q_gen=0.0), 0)
@@ -236,6 +250,13 @@ class TestCli:
         assert (tmp_path / "out" / "results.csv").exists()
         out = capsys.readouterr().out
         assert "mean_se" in out
+        assert "thresh_used=0.4 (configured 0.4)" in out
+
+    def test_run_reports_derated_threshold(self, tmp_path, capsys):
+        rc = main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "thresh_used=0.05 (configured 0.095)" in capsys.readouterr().out
 
     def test_out_env_var(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "tiny.cfg"

@@ -1,17 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ddnpca.estimators as estimators
 
 from ddnpca.errors import (
     BasisError,
+    DimensionError,
     EmptySubspaceError,
     InsufficientDataError,
     NoClusterError,
     NonTerminationError,
     OrderError,
+    ParameterError,
 )
 from ddnpca.estimators import (
     ClusterEvdConfig,
     EvdConfig,
+    block_eig,
     cluster_evd,
     consumed_samples,
     deflate,
@@ -66,23 +75,149 @@ class TestSimpleEvd:
 
 
 class TestDeflate:
+    """deflate(Y, G) applies the projector I - GG' to Y in factor form."""
+
     def test_empty_gives_identity(self):
-        np.testing.assert_array_equal(deflate(None, n=4), np.eye(4))
-        np.testing.assert_array_equal(deflate(np.zeros((4, 0))), np.eye(4))
+        Y = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(deflate(Y, None), Y)
+        np.testing.assert_array_equal(deflate(Y, np.zeros((4, 0))), Y)
 
     def test_e1_in_2d(self):
-        np.testing.assert_allclose(deflate(np.eye(2)[:, :1]), np.diag([0.0, 1.0]), atol=1e-15)
+        Y = np.array([[3.0, -1.0, 2.0], [5.0, 4.0, -2.0]])
+        np.testing.assert_allclose(deflate(Y, np.eye(2)[:, :1]),
+                                   np.diag([0.0, 1.0]) @ Y, atol=1e-15)
 
     def test_projector_properties(self):
         rng = np.random.default_rng(1)
         G = random_orthonormal(9, 3, rng)
-        Psi = deflate(G)
-        assert np.max(np.abs(Psi @ Psi - Psi)) <= 1e-10
-        assert np.max(np.abs(Psi @ G)) <= 1e-10
+        Y = rng.standard_normal((9, 5))
+        Z = deflate(Y, G)
+        np.testing.assert_allclose(Z, (np.eye(9) - G @ G.T) @ Y, atol=1e-12)
+        assert np.max(np.abs(deflate(Z, G) - Z)) <= 1e-10
+        assert np.max(np.abs(G.T @ Z)) <= 1e-10
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(BasisError):
-            deflate(np.ones((3, 2)))
+            deflate(np.ones((3, 4)), np.ones((3, 2)))
+
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            deflate(np.ones((3, 4)), np.eye(4)[:, :1])
+
+
+def low_rank_block(n, alpha, r, rng):
+    """n x alpha block of rank <= r with a spread of singular values."""
+    A = rng.standard_normal((n, r)) * np.logspace(1, -1, r)
+    return A @ rng.standard_normal((r, alpha))
+
+
+class TestBlockEig:
+    """block_eig against the dense oracle sym_eig(Psi C Psi), Psi = I - GG'."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        alpha=st.integers(1, 16),
+        r_frac=st.floats(0.0, 1.0),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    @example(seed=0, n=8, alpha=5, r_frac=1.0, k_frac=0.0)    # alpha < n, empty G
+    @example(seed=1, n=8, alpha=5, r_frac=1.0, k_frac=0.4)    # alpha < n, non-empty G
+    @example(seed=2, n=6, alpha=6, r_frac=1.0, k_frac=0.3)    # alpha = n, r = n
+    @example(seed=3, n=5, alpha=12, r_frac=1.0, k_frac=0.0)   # alpha > n, r = n
+    @example(seed=4, n=5, alpha=12, r_frac=0.5, k_frac=0.5)   # alpha > n, non-empty G
+    @example(seed=5, n=7, alpha=1, r_frac=1.0, k_frac=0.0)    # alpha = 1
+    @example(seed=6, n=7, alpha=1, r_frac=1.0, k_frac=0.5)    # alpha = 1, non-empty G
+    @example(seed=7, n=1, alpha=3, r_frac=1.0, k_frac=0.0)    # n = 1
+    def test_matches_dense_oracle(self, seed, n, alpha, r_frac, k_frac):
+        rng = np.random.default_rng(seed)
+        r = max(1, round(r_frac * n))
+        k = round(k_frac * (n - 1))
+        Y = low_rank_block(n, alpha, r, rng)
+        G = random_orthonormal(n, k, rng) if k else None
+
+        Psi = np.eye(n) if G is None else np.eye(n) - G @ G.T
+        M = Psi @ empirical_covariance(Y) @ Psi
+        ref = sym_eig((M + M.T) / 2.0)
+
+        eig = block_eig(Y, G)
+        w = eig.eigenvalues
+        assert w.shape == (n,)
+        assert np.all(np.diff(w) <= 0.0)
+        assert np.count_nonzero(w == 0.0) >= n - alpha  # rank <= alpha, padded exactly
+        scale = max(1.0, abs(ref.eigenvalues[0]))
+        assert np.max(np.abs(w - ref.eigenvalues)) <= 1e-9 * scale
+
+        # leading subspaces agree wherever a gap separates them
+        for j in range(1, n):
+            gap = ref.eigenvalues[j - 1] - ref.eigenvalues[j]
+            if gap <= 1e-3 * scale or w[j - 1] <= 1e-6 * scale:
+                continue
+            U = eig.leading(j)
+            assert U.shape == (n, j)
+            assert np.max(np.abs(U.T @ U - np.eye(j))) <= 1e-9
+            assert subspace_error(U, ref.eigenvectors[:, :j]) <= 1e-7
+            if G is not None:
+                assert np.max(np.abs(G.T @ U)) <= 1e-9
+
+    @pytest.mark.parametrize("n, alpha", [(9, 4), (4, 4), (4, 9)])
+    def test_factorizes_smaller_side(self, n, alpha, monkeypatch):
+        shapes = []
+        real = estimators.sym_eig
+
+        def spy(M):
+            shapes.append(np.shape(M))
+            return real(M)
+
+        monkeypatch.setattr(estimators, "sym_eig", spy)
+        rng = np.random.default_rng(0)
+        block_eig(rng.standard_normal((n, alpha)), random_orthonormal(n, 1, rng))
+        side = min(n, alpha)
+        assert shapes == [(side, side)]
+
+    def test_no_n_by_n_matrix_when_alpha_small(self):
+        n, alpha = 3000, 20
+        rng = np.random.default_rng(11)
+        Y = low_rank_block(n, alpha, 5, rng)
+        G = random_orthonormal(n, 2, rng)
+        tracemalloc.start()
+        try:
+            block_eig(Y, G).leading(3)
+            simple_evd(Y, EvdConfig(thresh=0.01))
+            cluster_evd([Y, Y], ClusterEvdConfig(alpha=alpha, g_hat=1e6, thresh=1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10  # one n x n float matrix would be 72 MB
+
+    def test_signs_match_dense_convention(self):
+        rng = np.random.default_rng(9)
+        Y = low_rank_block(10, 4, 4, rng)
+        U = block_eig(Y).leading(4)
+        V = sym_eig(empirical_covariance(Y)).eigenvectors[:, :4]
+        np.testing.assert_allclose(U, V, atol=1e-10)
+
+    def test_zero_eigenvalue_not_lifted(self):
+        Y = np.zeros((5, 2))
+        Y[0, 0] = 1.0
+        eig = block_eig(Y)
+        np.testing.assert_array_equal(eig.eigenvalues, [0.5, 0.0, 0.0, 0.0, 0.0])
+        assert eig.leading(1).shape == (5, 1)
+        with pytest.raises(EmptySubspaceError):
+            eig.leading(2)
+
+    def test_shared_decomposition_must_match_block(self):
+        rng = np.random.default_rng(10)
+        Y = rng.standard_normal((6, 3))
+        for other in (block_eig(Y + 1.0), block_eig(Y, random_orthonormal(6, 1, rng))):
+            with pytest.raises(ParameterError):
+                simple_evd(Y, EvdConfig(thresh=0.01), eig=other)
+            with pytest.raises(ParameterError):
+                cluster_evd([Y], ClusterEvdConfig(alpha=3, g_hat=2.0, thresh=0.01),
+                            first_eig=other)
+        P = simple_evd(Y.copy(), EvdConfig(thresh=0.01), eig=block_eig(Y))
+        assert P.shape[0] == 6
 
 
 class TestDetectCluster:
@@ -266,3 +401,39 @@ class TestClusterEvd:
         assert res.vartheta_hat == 2
         assert consumed_samples(res, ClusterEvdConfig(alpha=300, g_hat=2.4, thresh=0.5)) == 600
         assert consumed_samples(res, ClusterEvdConfig(alpha=10, g_hat=2.4, thresh=0.5)) == 20
+
+
+class TestClusterEvdProperties:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        alpha=st.integers(1, 14),
+        g_hat=st.floats(1.0, 10.0),
+        cap=st.integers(1, 10),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_invariants(self, seed, n, alpha, g_hat, cap):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(1, n + 1))
+        P = random_orthonormal(n, r, rng)
+        lam = np.sort(rng.uniform(0.1, 100.0, size=r))[::-1]
+        drawn = []
+
+        def stream():
+            while True:
+                Y = P @ (np.sqrt(lam)[:, None] * rng.standard_normal((r, alpha)))
+                Y += 0.01 * rng.standard_normal((n, alpha))
+                drawn.append(Y)
+                yield Y
+
+        cfg = ClusterEvdConfig(alpha=alpha, g_hat=g_hat, thresh=0.05)
+        try:
+            res = cluster_evd(stream(), cfg, max_clusters=cap)
+        except (NonTerminationError, NoClusterError):
+            assert len(drawn) <= cap
+            return
+        width = res.P_hat.shape[1]
+        assert np.max(np.abs(res.P_hat.T @ res.P_hat - np.eye(width))) <= 1e-8
+        assert sum(res.cluster_sizes) == width
+        assert res.vartheta_hat == len(res.cluster_sizes) == len(drawn) <= cap
+        assert all(spec.shape == (n,) for spec in res.per_cluster_eigs)

@@ -163,8 +163,7 @@ class _BlockStream:
     Block k gets its own support schedule, shifted to continue the motion of
     block k-1; every block's schedule is validated on its own, matching the
     per-batch form in which the correlation budget is consumed.  Tracks the
-    worst measured q, the number of columns handed out, and the time spent
-    generating.
+    worst measured q and the time spent generating.
     """
 
     def __init__(self, model: datagen.SignalModel, cfg: ExperimentConfig,
@@ -175,7 +174,6 @@ class _BlockStream:
         self._max_blocks = max_blocks
         self._built: list[np.ndarray] = []
         self.q_measured = 0.0
-        self.columns_served = 0
         self.gen_ms = 0.0  # wall time spent building blocks
 
     def _build_next(self) -> None:
@@ -212,9 +210,7 @@ class _BlockStream:
         while k < self._max_blocks:
             if k >= len(self._built):
                 self._build_next()
-            block = self._built[k]
-            self.columns_served += block.shape[1]
-            yield block
+            yield self._built[k]
             k += 1
 
 

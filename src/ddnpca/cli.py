@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -34,6 +35,11 @@ def _cmd_run(args) -> int:
         mean_se = "NA" if m.mean_se is None else f"{m.mean_se:.6f}"
         print(f"{m.method:12s} mean_se={mean_se}  mean_time_ms={m.mean_time_ms:.3f}  "
               f"failures={m.failure_count}")
+    found = Counter(r.vartheta_hat for r in records
+                    if r.method == "cluster_evd" and r.se is not None)
+    print(f"vartheta_hat over {sum(found.values())} successful cluster_evd trials: "
+          + (" ".join(f"{k}:{found[k]}" for k in sorted(found)) or "none"))
+    print(f"worst q_measured={max(r.q_measured for r in records):.6g}")
     return 0
 
 

@@ -3,6 +3,7 @@ schedules, and the missing-entry / sparse data-dependent corruption channels."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,8 +62,7 @@ def sample_coefficients(model: SignalModel, rng: np.random.Generator) -> np.ndar
     Uniform law on [-sqrt(3 lam_j), +sqrt(3 lam_j)], so the boundedness
     factor is exactly 3.
     """
-    half_width = np.sqrt(3.0 * model.lam)
-    return (2.0 * rng.random(model.r) - 1.0) * half_width
+    return _coefficient_matrix(model, 1, rng)[:, 0]
 
 
 def _coefficient_matrix(model: SignalModel, alpha: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,16 +104,16 @@ class SupportSchedule:
             raise ParameterError("n, s, rho, beta_tilde must all be positive")
         if not self.supports:
             raise ScheduleError("schedule must contain at least one frame")
+        # Each distinct support is normalised and checked once, at the first
+        # frame it appears in, so an error names the same frame as a check
+        # of every frame would.
+        normalised: dict[tuple, tuple[int, ...]] = {}
         norm_supports = []
         for t, T in enumerate(self.supports):
-            T = tuple(sorted(int(i) for i in T))
-            if len(set(T)) != len(T):
-                raise ScheduleError(f"frame {t}: duplicate indices in support")
-            if T and (T[0] < 0 or T[-1] >= self.n):
-                raise ScheduleError(f"frame {t}: support index out of range [0, {self.n})")
-            if len(T) > self.s:
-                raise ScheduleError(f"frame {t}: support size {len(T)} exceeds s={self.s}")
-            norm_supports.append(T)
+            T = tuple(T)
+            if T not in normalised:
+                normalised[T] = self._normalise(t, T)
+            norm_supports.append(normalised[T])
         object.__setattr__(self, "supports", tuple(norm_supports))
         report = verify_schedule_conditions(self)
         if not report["condition1"]:
@@ -132,6 +132,16 @@ class SupportSchedule:
                 f"(max cover {report['max_cover']} > rho^2*beta_tilde = {self.beta}) holds"
             )
 
+    def _normalise(self, t: int, T: tuple) -> tuple[int, ...]:
+        T = tuple(sorted(int(i) for i in T))
+        if len(set(T)) != len(T):
+            raise ScheduleError(f"frame {t}: duplicate indices in support")
+        if T and (T[0] < 0 or T[-1] >= self.n):
+            raise ScheduleError(f"frame {t}: support index out of range [0, {self.n})")
+        if len(T) > self.s:
+            raise ScheduleError(f"frame {t}: support size {len(T)} exceeds s={self.s}")
+        return T
+
     @property
     def alpha(self) -> int:
         return len(self.supports)
@@ -142,13 +152,8 @@ class SupportSchedule:
 
 
 def _runs(supports) -> list[tuple[tuple[int, ...], int]]:
-    runs: list[tuple[tuple[int, ...], int]] = []
-    for T in supports:
-        if runs and runs[-1][0] == T:
-            runs[-1] = (T, runs[-1][1] + 1)
-        else:
-            runs.append((T, 1))
-    return runs
+    """Maximal runs of identical consecutive supports, as (support, length)."""
+    return [(T, sum(1 for _ in group)) for T, group in itertools.groupby(supports)]
 
 
 def verify_schedule_conditions(schedule: SupportSchedule) -> dict:
@@ -167,10 +172,10 @@ def verify_schedule_conditions(schedule: SupportSchedule) -> dict:
             cond3 = False
             break
         departed |= gone
-    counts = np.zeros(schedule.n, dtype=int)
-    for T in schedule.supports:
-        if T:
-            counts[list(T)] += 1
+    # Cover counts per run: each pixel of a run's support gains its length.
+    pixels = np.array([i for T, _ in runs for i in T], dtype=int)
+    lengths = np.array([length for T, length in runs for _ in T], dtype=int)
+    counts = np.bincount(pixels, weights=lengths, minlength=schedule.n)
     max_cover = int(counts.max()) if schedule.n else 0
     return {
         "condition1": cond1,
@@ -213,13 +218,16 @@ def generate_support_schedule(
                 f"support motion does not fit: minimal n is {required}, got {n} "
                 "(pass wrap=True for cyclic motion)"
             )
+    # Frame t sits at start + step * (t // beta_tilde): one support per run
+    # of beta_tilde frames, shared by every frame of the run.
     supports = []
-    for t in range(alpha):
-        p = start + step * (t // beta_tilde)
+    for k in range(math.ceil(alpha / beta_tilde)):
+        p = start + step * k
         if wrap:
-            supports.append(tuple(sorted((p + j) % n for j in range(s))))
+            T = tuple(sorted((p + j) % n for j in range(s)))
         else:
-            supports.append(tuple(range(p, p + s)))
+            T = tuple(range(p, p + s))
+        supports.extend([T] * min(beta_tilde, alpha - k * beta_tilde))
     return SupportSchedule(n=n, supports=tuple(supports), s=s, rho=rho, beta_tilde=beta_tilde)
 
 
@@ -288,14 +296,27 @@ def apply_sddc(ell, T, Mst) -> np.ndarray:
     return y
 
 
+# Frames per batch of corruption draws and q measurements.  Fixed: it bounds
+# the memory of one batch without changing any output or the draw order.
+_FRAME_CHUNK = 64
+
+
 def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Generator):
     """Draw alpha columns of signal and observations under a noise channel.
 
     Returns (Y, L, schedule, q_measured) where q_measured is the largest
     observed operator norm of the per-frame correlation map restricted to
     the signal subspace (||I_T' P|| for missing, ||M_st P|| for the sparse
-    channel).  Coefficients are drawn in one batch, then per-frame
-    corruption matrices in frame order.
+    channel).
+
+    Stream contract: the coefficients are drawn first, in one (r, alpha)
+    batch.  The sparse channel then draws each frame's |T_t| x n corruption
+    matrix in frame order; frames are handled _FRAME_CHUNK at a time, and
+    a chunk's matrices come from one draw whose rows are the frames' rows
+    back to back, which consumes the generator exactly as one draw per
+    frame would.  Frames with an empty support, and a zero q_gen, draw
+    nothing.  Within a chunk, frames are grouped by support size and each
+    group is corrupted and measured as one stack of matrices.
     """
     if alpha < 1:
         raise DimensionError("alpha must be positive")
@@ -304,30 +325,44 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
         raise DimensionError(f"schedule dimension {schedule.n} != model dimension {model.n}")
     if schedule.alpha < alpha:
         raise DimensionError(f"schedule has {schedule.alpha} frames, need {alpha}")
+    if not isinstance(noise, (MissingNoiseModel, SddcNoiseModel)):
+        raise ParameterError(f"unknown noise model {type(noise).__name__}")
 
     A = _coefficient_matrix(model, alpha, rng)
     L = model.P @ A
     Y = L.copy()
     q_measured = 0.0
 
-    if isinstance(noise, MissingNoiseModel):
-        for t in range(alpha):
-            T = list(schedule.supports[t])
-            if not T:
-                continue
-            Y[T, t] = 0.0
-            q_measured = max(q_measured, spectral_norm(model.P[T, :]))
-    elif isinstance(noise, SddcNoiseModel):
-        for t in range(alpha):
-            T = list(schedule.supports[t])
-            if not T:
-                continue
-            Mst = rng.normal(0.0, noise.q_gen, size=(len(T), model.n)) if noise.q_gen > 0 \
-                else np.zeros((len(T), model.n))
-            Y[T, t] += Mst @ L[:, t]
-            q_measured = max(q_measured, spectral_norm(Mst @ model.P))
-    else:
-        raise ParameterError(f"unknown noise model {type(noise).__name__}")
+    for first in range(0, alpha, _FRAME_CHUNK):
+        last = min(first + _FRAME_CHUNK, alpha)
+        supports = schedule.supports[first:last]
+        sizes = np.array([len(T) for T in supports])
+        if isinstance(noise, SddcNoiseModel):
+            shape = (int(sizes.sum()), model.n)
+            draws = rng.normal(0.0, noise.q_gen, size=shape) if noise.q_gen > 0 \
+                else np.zeros(shape)
+            row0 = np.cumsum(sizes) - sizes  # first row of each frame in `draws`
+            # The chunk's columns as a view of L, strided as L[:, t] is, so each
+            # product below is the BLAS call `Mst @ L[:, t]` makes and sums in
+            # the same order (for |T_t| = 1 a dot product, whose order depends
+            # on whether the column is contiguous).
+            ell = L.T[first:last, :, None]
+        for m in np.unique(sizes[sizes > 0]):
+            frames = np.flatnonzero(sizes == m)
+            T = np.array([supports[i] for i in frames])  # (k, m)
+            cols = (first + frames)[:, None]
+            if isinstance(noise, MissingNoiseModel):
+                Y[T, cols] = 0.0
+                q = spectral_norm(model.P[T])
+            else:
+                if frames.size == last - first:  # one size in the chunk: no copy needed
+                    Mst = draws.reshape(-1, m, model.n)
+                else:  # frames of other sizes get zero matrices, to line up with `ell`
+                    Mst = np.zeros((last - first, m, model.n))
+                    Mst[frames] = draws[row0[frames, None] + np.arange(m)]
+                Y[T, cols] += (Mst @ ell)[frames, :, 0]
+                q = spectral_norm((Mst @ model.P)[frames])
+            q_measured = max(q_measured, q)
 
     return Y, L, schedule, q_measured
 

@@ -88,11 +88,17 @@ def top_eigenvectors(M, r: int) -> np.ndarray:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value."""
-    M = _as_matrix(M)
-    if M.size == 0:
+    """Largest singular value of a matrix, or the largest over a (..., m, k)
+    stack of matrices; 0.0 when there are no entries."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim > 2:
+        if not np.isfinite(A).all():
+            raise DimensionError("matrix stack contains non-finite entries")
+    else:
+        A = _as_matrix(A)
+    if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(A, compute_uv=False).max())
 
 
 def subspace_error(Phat, P) -> float:

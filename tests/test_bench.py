@@ -252,6 +252,22 @@ class TestCli:
         assert "mean_se" in out
         assert "thresh_used=0.4 (configured 0.4)" in out
 
+    def test_run_reports_clusters_found_and_worst_q(self, tmp_path, capsys):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(
+            "n = 40\nr = 3\nalpha = 60\nlambda_diag = 16, 4, 1\nnoise_kind = sddc\n"
+            "q_gen = 0.01\ns = 3\nrho = 3\nbeta_tilde = 1\ng_hat = 2.5\nthresh = 0.4\n"
+            "trials = 3\nbase_seed = 1\nbasis_kind = sparse\n"
+        )
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        fields = [row.split(",") for row in rows]
+        found = sorted(int(f[4]) for f in fields if f[1] == "cluster_evd" and f[2] != "NA")
+        counts = " ".join(f"{k}:{found.count(k)}" for k in sorted(set(found)))
+        assert f"vartheta_hat over {len(found)} successful cluster_evd trials: {counts}\n" in out
+        assert f"worst q_measured={max(float(f[6]) for f in fields):.6g}\n" in out
+
     def test_run_reports_derated_threshold(self, tmp_path, capsys):
         rc = main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "1",
                    "--out", str(tmp_path)])

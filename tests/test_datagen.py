@@ -1,9 +1,14 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddnpca.datagen import (
+    _FRAME_CHUNK,
+    _coefficient_matrix,
     MissingNoiseModel,
     SddcNoiseModel,
     SignalModel,
@@ -49,6 +54,17 @@ class TestSampleCoefficients:
         var = draws.var(axis=0)
         assert np.all(var >= 0.97) and np.all(var <= 1.03)
         assert np.abs(draws.mean(axis=0)).max() < 0.01
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_vector_law(self, seed, r):
+        # r uniforms per vector, whatever the batch law draws them with
+        lam = np.sort(np.random.default_rng(seed).uniform(0.1, 10.0, size=r))[::-1]
+        model = SignalModel(P=sparse_basis(r + 1, r), lam=lam)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = sample_coefficients(model, rng_a)
+        np.testing.assert_array_equal(a, (2.0 * rng_b.random(r) - 1.0) * np.sqrt(3.0 * lam))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_eta_bound_pathwise(self):
         lam = np.array([9.0, 0.25])
@@ -230,6 +246,226 @@ class TestGenerateDataset:
         sched = generate_support_schedule(10, 2, 2, 2, 1)
         with pytest.raises(DimensionError):
             generate_dataset(model, MissingNoiseModel(sched), 5, np.random.default_rng(0))
+
+
+def per_frame_dataset(model, noise, alpha, rng):
+    """Reference for generate_dataset: one frame at a time, through the
+    per-column channels.  Coefficients come in one (r, alpha) batch, then
+    each non-empty frame draws its |T_t| x n corruption matrix in frame
+    order (none when q_gen is 0)."""
+    L = model.P @ _coefficient_matrix(model, alpha, rng)
+    Y = np.empty_like(L)
+    q = 0.0
+    for t in range(alpha):
+        T = noise.schedule.supports[t]
+        if isinstance(noise, MissingNoiseModel):
+            Y[:, t] = apply_missing(L[:, t], T)
+            W = model.P[list(T), :]
+        else:
+            shape = (len(T), model.n)
+            Mst = rng.normal(0.0, noise.q_gen, size=shape) if T and noise.q_gen > 0 \
+                else np.zeros(shape)
+            Y[:, t] = apply_sddc(L[:, t], T, Mst)
+            W = Mst @ model.P
+        if T:
+            q = max(q, np.linalg.norm(W, 2))
+    return Y, L, q
+
+
+def assert_matches_per_frame(model, noise, alpha, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    Y, L, schedule, q = generate_dataset(model, noise, alpha, rng)
+    Y_ref, L_ref, q_ref = per_frame_dataset(model, noise, alpha, ref_rng)
+    assert schedule is noise.schedule
+    assert L.tobytes() == L_ref.tobytes()
+    assert Y.tobytes() == Y_ref.tobytes()
+    assert q == q_ref
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def make_model(n, r, basis, seed):
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.1, 10.0, size=r))[::-1]
+    P = sparse_basis(n, r) if basis == "sparse" else random_basis(n, r, rng)
+    return SignalModel(P=P, lam=lam)
+
+
+def make_noise(channel, q_gen, n, supports, s):
+    # rho and beta_tilde as long as the schedule make every motion condition
+    # hold, so any support sequence is a valid schedule
+    alpha = len(supports)
+    schedule = SupportSchedule(n=n, supports=tuple(supports), s=s, rho=alpha, beta_tilde=alpha)
+    return MissingNoiseModel(schedule) if channel == "missing" else SddcNoiseModel(q_gen, schedule)
+
+
+@st.composite
+def dataset_cases(draw):
+    n = draw(st.integers(2, 12))
+    r = draw(st.integers(1, min(n, 4)))
+    s = draw(st.integers(1, n))
+    alpha = draw(st.sampled_from([1, _FRAME_CHUNK - 1, _FRAME_CHUNK, _FRAME_CHUNK + 1, 130]))
+    extra = draw(st.integers(0, 3))  # schedule frames the dataset does not use
+    supports = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=s),
+                             min_size=alpha + extra, max_size=alpha + extra))
+    channel = draw(st.sampled_from(["missing", "sddc"]))
+    q_gen = draw(st.sampled_from([0.0, 0.01, 0.7]))
+    basis = draw(st.sampled_from(["sparse", "random"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = make_model(n, r, basis, seed)
+    return model, make_noise(channel, q_gen, n, supports, s), alpha, seed
+
+
+class TestBatchedAgainstPerFrame:
+    """generate_dataset must reproduce the per-frame law bit for bit: the same
+    Y, L and q, and the generator left in the same state."""
+
+    @given(dataset_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_random_schedules(self, case):
+        assert_matches_per_frame(*case)
+
+    @pytest.mark.parametrize("alpha", [1, _FRAME_CHUNK - 1, _FRAME_CHUNK, _FRAME_CHUNK + 1, 130])
+    @pytest.mark.parametrize("channel", ["missing", "sddc"])
+    @pytest.mark.parametrize("basis", ["sparse", "random"])
+    @pytest.mark.parametrize("q_gen", [0.0, 0.05])
+    def test_chunk_boundaries(self, alpha, channel, basis, q_gen):
+        # mixed support sizes, empty ones included, and two frames more in
+        # the schedule than the dataset uses
+        n, s = 30, 4
+        rng = np.random.default_rng(alpha)
+        supports = [tuple(rng.choice(n, size=int(m), replace=False))
+                    for m in rng.integers(0, s + 1, size=alpha + 2)]
+        model = make_model(n, 3, basis, seed=7)
+        assert_matches_per_frame(model, make_noise(channel, q_gen, n, supports, s), alpha, 11)
+
+    @pytest.mark.parametrize("channel", ["missing", "sddc"])
+    def test_expt1_schedule(self, channel):
+        model = expt1_model()
+        sched = generate_support_schedule(500, 300, 5, 2, 1, start=497, wrap=True)
+        noise = MissingNoiseModel(sched) if channel == "missing" else SddcNoiseModel(0.01, sched)
+        assert_matches_per_frame(model, noise, 300, 42)
+
+
+def brute_force_conditions(supports, n, rho, beta_tilde):
+    """Frame-by-frame statement of the schedule conditions."""
+    alpha = len(supports)
+    run_of = [0] * alpha  # number of support changes before frame t
+    for t in range(1, alpha):
+        run_of[t] = run_of[t - 1] + (supports[t] != supports[t - 1])
+    # 1: no non-empty support on beta_tilde + 1 consecutive frames
+    cond1 = not any(
+        supports[t] and all(supports[u] == supports[t] for u in range(t, t + beta_tilde + 1))
+        for t in range(alpha - beta_tilde)
+    )
+    # 2: frames rho changes apart have disjoint supports
+    cond2 = all(
+        not set(supports[t]) & set(supports[u])
+        for t in range(alpha) for u in range(t, alpha) if run_of[u] - run_of[t] == rho
+    )
+    # 3: the pixels that leave at one change never leave at another
+    gone = [set(supports[t - 1]) - set(supports[t])
+            for t in range(1, alpha) if supports[t] != supports[t - 1]]
+    cond3 = all(not gone[i] & gone[j] for i in range(len(gone)) for j in range(i))
+    max_cover = max(sum(i in T for T in supports) for i in range(n))
+    return {
+        "condition1": cond1,
+        "condition2": cond2,
+        "condition3": cond3,
+        "cover_bound": max_cover <= rho * rho * beta_tilde,
+        "max_cover": max_cover,
+    }
+
+
+@st.composite
+def support_sequences(draw):
+    """Sorted-tuple support sequences with repeats and empty supports: either
+    runs of arbitrary supports, or a wrapped constant-velocity motion with
+    some frames emptied."""
+    n = draw(st.integers(1, 9))
+    rho = draw(st.integers(1, 3))
+    beta_tilde = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        runs = draw(st.lists(
+            st.tuples(st.frozensets(st.integers(0, n - 1), max_size=n), st.integers(1, 4)),
+            min_size=1, max_size=12,
+        ))
+        supports = [tuple(sorted(T)) for T, length in runs for _ in range(length)]
+    else:
+        s = draw(st.integers(1, n))
+        alpha = draw(st.integers(1, 30))
+        start = draw(st.integers(0, n - 1))
+        run = draw(st.integers(1, 4))
+        step = draw(st.integers(1, n))
+        empty = draw(st.sets(st.integers(0, alpha - 1)))
+        supports = [() if t in empty else
+                    tuple(sorted((start + step * (t // run) + j) % n for j in range(s)))
+                    for t in range(alpha)]
+    return n, max(len(T) for T in supports) or 1, rho, beta_tilde, supports
+
+
+class TestScheduleAgainstBruteForce:
+    @given(support_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_report_and_validation(self, case):
+        n, s, rho, beta_tilde, supports = case
+        expected = brute_force_conditions(supports, n, rho, beta_tilde)
+        duck = SimpleNamespace(n=n, supports=tuple(supports), rho=rho,
+                               beta_tilde=beta_tilde, beta=rho * rho * beta_tilde)
+        assert verify_schedule_conditions(duck) == expected
+
+        valid = expected["condition1"] and expected["condition2"] and (
+            expected["condition3"] or expected["cover_bound"])
+        if not valid:
+            with pytest.raises(ScheduleError):
+                SupportSchedule(n=n, supports=tuple(supports), s=s, rho=rho, beta_tilde=beta_tilde)
+            return
+        sched = SupportSchedule(n=n, supports=tuple(supports), s=s, rho=rho, beta_tilde=beta_tilde)
+        assert sched.supports == tuple(supports)
+        assert sched.condition3_mode == ("strict" if expected["condition3"] else "cover")
+
+    @pytest.mark.parametrize("supports, broken", [
+        ([(0, 1)] * 3, "condition1"),
+        ([(0, 1), (1, 2), (2, 3)], "condition2"),
+        ([(0,), (1,), (0,), (1,)], "condition3"),
+        ([(0,), (), (0,), (), (0,)], "cover_bound"),
+    ])
+    def test_each_condition_can_fail(self, supports, broken):
+        report = verify_schedule_conditions(
+            SimpleNamespace(n=4, supports=tuple(supports), rho=1, beta_tilde=2, beta=2))
+        assert report == brute_force_conditions(supports, 4, 1, 2)
+        assert not report[broken]
+
+    def test_error_names_first_bad_frame(self):
+        supports = ((0, 1), (2, 3), (0, 1), (2, 7), (2, 7))
+        with pytest.raises(ScheduleError, match=r"^frame 3: support index out of range"):
+            SupportSchedule(n=5, supports=supports, s=2, rho=1, beta_tilde=1)
+
+    def test_unsorted_repeats_normalised(self):
+        sched = SupportSchedule(n=6, supports=((3, 1), [1, 3], (5, 4)), s=2, rho=1, beta_tilde=2)
+        assert sched.supports == ((1, 3), (1, 3), (4, 5))
+
+    @given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 6), st.integers(1, 4),
+           st.integers(1, 5), st.integers(0, 39), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_schedule_matches_formula(self, n, alpha, s, rho, beta_tilde, start, wrap):
+        assume(start < n and s <= n)
+        step = math.ceil(s / rho)
+        expected = []
+        for t in range(alpha):
+            p = start + step * (t // beta_tilde)
+            expected.append(tuple(sorted((p + j) % n for j in range(s))) if wrap
+                            else tuple(range(p, p + s)))
+        try:
+            sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start, wrap=wrap)
+        except CapacityError:
+            assert not wrap and start + s + step * math.ceil(alpha / beta_tilde) > n
+            return
+        except ScheduleError as exc:
+            with pytest.raises(ScheduleError) as direct:
+                SupportSchedule(n=n, supports=tuple(expected), s=s, rho=rho, beta_tilde=beta_tilde)
+            assert str(direct.value) == str(exc)
+            return
+        assert sched.supports == tuple(expected)
 
 
 class TestBases:

@@ -166,6 +166,41 @@ class TestSpectralNorm:
         v *= 3.0 / np.linalg.norm(v)
         assert spectral_norm(np.outer(u, v)) == pytest.approx(6.0, rel=1e-9)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_is_max_of_per_matrix_norms(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 3))))
+        m, k = (int(d) for d in rng.integers(1, 8, size=2))
+        stack = rng.standard_normal(batch + (m, k)) * rng.uniform(0.01, 100.0)
+        expected = max(np.linalg.norm(M, 2) for M in stack.reshape(-1, m, k))
+        assert spectral_norm(stack) == expected
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_unchanged(self, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal(tuple(int(d) for d in rng.integers(1, 9, size=2)))
+        value = spectral_norm(M)
+        assert type(value) is float
+        assert value == np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (4, 0, 2), (2, 3, 0), (0, 0)])
+    def test_empty_is_zero(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2), (2, 1, 3, 2)])
+    def test_non_finite_rejected(self, bad, shape):
+        M = np.ones(shape)
+        M.flat[-1] = bad
+        with pytest.raises(DimensionError):
+            spectral_norm(M)
+
+    def test_vector_rejected(self):
+        with pytest.raises(DimensionError):
+            spectral_norm(np.ones(3))
+
 
 class TestEmpiricalCovariance:
     def test_single_column(self):

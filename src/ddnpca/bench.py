@@ -4,6 +4,7 @@ estimators, CSV output, and the oracle sweeps behind the `verify` command."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -158,60 +159,46 @@ def effective_thresh(cfg: ExperimentConfig) -> float:
 
 
 class _BlockStream:
-    """Lazily generates observation blocks for one trial.
+    """Iterator over one trial's observation blocks, generated on demand.
 
     Block k gets its own support schedule, shifted to continue the motion of
     block k-1; every block's schedule is validated on its own, matching the
-    per-batch form in which the correlation budget is consumed.  Tracks the
-    worst measured q and the time spent generating.
+    per-batch form in which the correlation budget is consumed.  Endless:
+    the consumer bounds it (the harness caps cluster_evd at cfg.r blocks).
+    Tracks the worst measured q and the time spent generating.
     """
 
     def __init__(self, model: datagen.SignalModel, cfg: ExperimentConfig,
-                 rng: np.random.Generator, max_blocks: int):
+                 rng: np.random.Generator):
         self._model = model
         self._cfg = cfg
         self._rng = rng
-        self._max_blocks = max_blocks
-        self._built: list[np.ndarray] = []
+        self._k = 0
         self.q_measured = 0.0
         self.gen_ms = 0.0  # wall time spent building blocks
 
-    def _build_next(self) -> None:
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        cfg = self._cfg
         t0 = time.perf_counter()
         try:
-            self._built.append(self._generate(len(self._built)))
+            step = math.ceil(cfg.s / cfg.rho)
+            start = (step * math.ceil(cfg.alpha / cfg.beta_tilde) * self._k) % cfg.n
+            schedule = datagen.generate_support_schedule(
+                cfg.n, cfg.alpha, cfg.s, cfg.rho, cfg.beta_tilde, start=start, wrap=True
+            )
+            if cfg.noise_kind == "missing":
+                noise = datagen.MissingNoiseModel(schedule)
+            else:
+                noise = datagen.SddcNoiseModel(cfg.q_gen, schedule)
+            Y, _, _, q = datagen.generate_dataset(self._model, noise, cfg.alpha, self._rng)
         finally:
             self.gen_ms += (time.perf_counter() - t0) * 1e3
-
-    def _generate(self, k: int) -> np.ndarray:
-        cfg = self._cfg
-        if k >= self._max_blocks:
-            raise IndexError("block budget exhausted")
-        step = math.ceil(cfg.s / cfg.rho)
-        start = (step * math.ceil(cfg.alpha / cfg.beta_tilde) * k) % cfg.n
-        schedule = datagen.generate_support_schedule(
-            cfg.n, cfg.alpha, cfg.s, cfg.rho, cfg.beta_tilde, start=start, wrap=True
-        )
-        if cfg.noise_kind == "missing":
-            noise = datagen.MissingNoiseModel(schedule)
-        else:
-            noise = datagen.SddcNoiseModel(cfg.q_gen, schedule)
-        Y, _, _, q = datagen.generate_dataset(self._model, noise, cfg.alpha, self._rng)
+        self._k += 1
         self.q_measured = max(self.q_measured, q)
         return Y
-
-    def first_block(self) -> np.ndarray:
-        if not self._built:
-            self._build_next()
-        return self._built[0]
-
-    def blocks(self):
-        k = 0
-        while k < self._max_blocks:
-            if k >= len(self._built):
-                self._build_next()
-            yield self._built[k]
-            k += 1
 
 
 def _build_model(cfg: ExperimentConfig, rng: np.random.Generator) -> datagen.SignalModel:
@@ -219,7 +206,7 @@ def _build_model(cfg: ExperimentConfig, rng: np.random.Generator) -> datagen.Sig
         P = datagen.sparse_basis(cfg.n, cfg.r)
     else:
         P = datagen.random_basis(cfg.n, cfg.r, rng)
-    return datagen.SignalModel(P=P, lam=np.asarray(cfg.lambda_diag), eta=3.0, dist="uniform")
+    return datagen.SignalModel(P=P, lam=np.asarray(cfg.lambda_diag))
 
 
 def trial_components(cfg: ExperimentConfig, trial_index: int):
@@ -231,7 +218,7 @@ def trial_components(cfg: ExperimentConfig, trial_index: int):
     seed = cfg.base_seed + trial_index
     rng = np.random.default_rng(seed)
     model = _build_model(cfg, rng)
-    stream = _BlockStream(model, cfg, rng, max_blocks=cfg.r)
+    stream = _BlockStream(model, cfg, rng)
     return model, stream, effective_thresh(cfg), seed
 
 
@@ -250,7 +237,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     outside its clock.
     """
     model, stream, thresh, seed = trial_components(cfg, trial_index)
-    Y1 = stream.first_block()
+    Y1 = next(stream)
 
     t0 = time.perf_counter()
     try:
@@ -280,7 +267,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
 
     def cluster():
         ccfg = ClusterEvdConfig(alpha=cfg.alpha, g_hat=cfg.g_hat, thresh=thresh)
-        result = cluster_evd(stream.blocks(), ccfg, max_clusters=cfg.r, first_eig=eig1)
+        result = cluster_evd(itertools.chain([Y1], stream), ccfg,
+                             max_clusters=cfg.r, first_eig=eig1)
         return result.P_hat, result.vartheta_hat
 
     return [record("evd", evd), record("cluster_evd", cluster)]
@@ -369,16 +357,6 @@ def emit_cluster_plot(eigenvalues, partition: ClusterPartition, path) -> None:
             fh.write(f"{i} {format(val, '.17g')} {cid}\n")
 
 
-def parse_cluster_plot(path) -> tuple[np.ndarray, list[int]]:
-    values, ids = [], []
-    with open(path) as fh:
-        for line in fh:
-            _, val, cid = line.split()
-            values.append(float(val))
-            ids.append(int(cid))
-    return np.asarray(values), ids
-
-
 # ---------------------------------------------------------------------------
 # Theory report and oracle sweeps (CLI `bounds` / `verify`)
 # ---------------------------------------------------------------------------
@@ -394,10 +372,10 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     lam = np.asarray(cfg.lambda_diag)
     f = float(lam[0] / lam[-1])
     q = cfg.q_gen
-    lines = [f"n={cfg.n} r={cfg.r} f={f:g} q={q:g} eta=3 (uniform coefficients)"]
+    lines = [f"n={cfg.n} r={cfg.r} f={f:g} q={q:g} eta={datagen.ETA:g} (uniform coefficients)"]
 
     zeta1 = 0.01 / cfg.r
-    inp1 = BoundInputs(n=cfg.n, r=cfg.r, f=f, q=q, eta=3.0, zeta=zeta1)
+    inp1 = BoundInputs(n=cfg.n, r=cfg.r, f=f, q=q, eta=datagen.ETA, zeta=zeta1)
     lines.append(f"[simple-EVD]   zeta={zeta1:.6g}  alpha0={alpha0_simple(inp1):.6g}  "
                  f"beta/alpha<={beta_frac_simple(inp1):.6g}")
 
@@ -410,7 +388,7 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     )
     zeta2 = min(0.0001 / cfg.r**2, 0.01 / (cfg.r**2 * f))
     inp2 = BoundInputs(
-        n=cfg.n, r=cfg.r, f=f, q=q, eta=3.0, zeta=zeta2,
+        n=cfg.n, r=cfg.r, f=f, q=q, eta=datagen.ETA, zeta=zeta2,
         r_k=min(part.sizes), g_plus=stats.g_eff, chi_plus=stats.chi,
         vartheta=stats.vartheta,
     )

@@ -12,20 +12,21 @@ import numpy as np
 from .errors import CapacityError, DimensionError, ParameterError, ScheduleError
 from .linalg import _fix_signs, check_basis, spectral_norm
 
+# Boundedness factor of the coefficient law: a_j^2 <= ETA * lam_j for every
+# draw.  The coefficients are uniform, for which it is exactly 3.
+ETA = 3.0
+
 
 @dataclass(frozen=True)
 class SignalModel:
     """Low-rank signal generator: columns ell_t = P @ a_t.
 
     P is an n x r basis matrix, lam the non-increasing positive variance
-    profile of the coefficients, eta the pathwise boundedness factor
-    (a_j^2 <= eta * lam_j for every draw; 3 for the uniform law).
+    profile of the coefficients, which are uniform (boundedness factor ETA).
     """
 
     P: np.ndarray
     lam: np.ndarray
-    eta: float = 3.0
-    dist: str = "uniform"
 
     def __post_init__(self):
         P = check_basis(self.P, name="P")
@@ -36,10 +37,6 @@ class SignalModel:
             raise ParameterError("lam entries must be strictly positive")
         if np.any(np.diff(lam) > 0):
             raise ParameterError("lam must be non-increasing")
-        if self.eta <= 1.0:
-            raise ParameterError(f"eta must exceed 1, got {self.eta}")
-        if self.dist != "uniform":
-            raise ParameterError(f"unsupported coefficient distribution {self.dist!r}")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "lam", lam)
 
@@ -59,15 +56,15 @@ class SignalModel:
 def sample_coefficients(model: SignalModel, rng: np.random.Generator) -> np.ndarray:
     """One coefficient vector: entry j zero mean with variance lam_j.
 
-    Uniform law on [-sqrt(3 lam_j), +sqrt(3 lam_j)], so the boundedness
-    factor is exactly 3.
+    Uniform law on [-sqrt(ETA lam_j), +sqrt(ETA lam_j)]: variance lam_j,
+    boundedness factor ETA = 3.
     """
     return _coefficient_matrix(model, 1, rng)[:, 0]
 
 
 def _coefficient_matrix(model: SignalModel, alpha: int, rng: np.random.Generator) -> np.ndarray:
     # One batch draw, row-major fill; keeps the stream order reproducible.
-    half_width = np.sqrt(3.0 * model.lam)
+    half_width = np.sqrt(ETA * model.lam)
     return (2.0 * rng.random((model.r, alpha)) - 1.0) * half_width[:, None]
 
 
@@ -229,19 +226,6 @@ def generate_support_schedule(
             T = tuple(range(p, p + s))
         supports.extend([T] * min(beta_tilde, alpha - k * beta_tilde))
     return SupportSchedule(n=n, supports=tuple(supports), s=s, rho=rho, beta_tilde=beta_tilde)
-
-
-def dump_schedule(path, schedule: SupportSchedule) -> None:
-    """Write one line per frame: sorted 0-based indices, space-separated."""
-    with open(path, "w") as fh:
-        for T in schedule.supports:
-            fh.write(" ".join(str(i) for i in T) + "\n")
-
-
-def load_schedule(path, n: int, s: int, rho: int, beta_tilde: int) -> SupportSchedule:
-    with open(path) as fh:
-        supports = tuple(tuple(int(tok) for tok in line.split()) for line in fh)
-    return SupportSchedule(n=n, supports=supports, s=s, rho=rho, beta_tilde=beta_tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,3 @@ def cluster_evd(y_blocks, cfg: ClusterEvdConfig, max_clusters: int | None = None
         vartheta_hat=len(sizes),
         per_cluster_eigs=tuple(spectra),
     )
-
-
-def consumed_samples(result: ClusterEvdResult, cfg: ClusterEvdConfig) -> int:
-    """Total columns the estimator drew from the stream."""
-    return result.vartheta_hat * cfg.alpha

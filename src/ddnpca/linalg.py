@@ -141,33 +141,3 @@ def sin_theta_bound(lambda_min_a: float, lambda_max_aperp: float, h_norm: float)
             f"gap {lambda_min_a} - {lambda_max_aperp} - {h_norm} = {denom} is not positive"
         )
     return h_norm / denom
-
-
-def write_matrix(path, M) -> None:
-    """Write a matrix as text: 'rows cols' header then one row per line.
-
-    Entries use 17 significant digits so that write/read round-trips are
-    bit-exact for IEEE doubles.
-    """
-    M = _as_matrix(M)
-    rows, cols = M.shape
-    with open(path, "w") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for i in range(rows):
-            fh.write(" ".join(format(x, ".17g") for x in M[i]) + "\n")
-
-
-def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by write_matrix."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DimensionError(f"{path}: malformed header {header!r}")
-        rows, cols = int(header[0]), int(header[1])
-        out = np.empty((rows, cols), dtype=float)
-        for i in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != cols:
-                raise DimensionError(f"{path}: row {i} has {len(parts)} entries, expected {cols}")
-            out[i] = [float(p) for p in parts]
-    return out

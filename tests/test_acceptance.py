@@ -92,7 +92,7 @@ def test_criterion_2_cluster_detection(expt1_runs):
     for i in range(cfg.trials):
         model, stream, thresh, _ = trial_components(cfg, i)
         res = cluster_evd(
-            stream.blocks(),
+            stream,
             ClusterEvdConfig(alpha=cfg.alpha, g_hat=cfg.g_hat, thresh=thresh),
             max_clusters=cfg.r,
         )

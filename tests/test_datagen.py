@@ -15,10 +15,8 @@ from ddnpca.datagen import (
     SupportSchedule,
     apply_missing,
     apply_sddc,
-    dump_schedule,
     generate_dataset,
     generate_support_schedule,
-    load_schedule,
     random_basis,
     sample_coefficients,
     sparse_basis,
@@ -483,14 +481,3 @@ class TestBases:
         Q2 = random_basis(10, 4, np.random.default_rng(5))
         np.testing.assert_array_equal(Q1, Q2)
         assert np.max(np.abs(Q1.T @ Q1 - np.eye(4))) < 1e-10
-
-
-class TestScheduleIO:
-    def test_round_trip(self, tmp_path):
-        sched = generate_support_schedule(60, 9, 4, 2, 2)
-        path = tmp_path / "sched.txt"
-        dump_schedule(path, sched)
-        back = load_schedule(path, n=60, s=4, rho=2, beta_tilde=2)
-        assert back.supports == sched.supports
-        first_line = path.read_text().splitlines()[0]
-        assert first_line == " ".join(str(i) for i in sched.supports[0])

@@ -22,7 +22,6 @@ from ddnpca.estimators import (
     EvdConfig,
     block_eig,
     cluster_evd,
-    consumed_samples,
     deflate,
     detect_cluster,
     simple_evd,
@@ -335,8 +334,7 @@ class TestClusterEvd:
 
         cfg = ClusterEvdConfig(alpha=4, g_hat=2.4, thresh=0.5)
         res = cluster_evd(stream(), cfg)
-        assert consumed_samples(res, cfg) == res.vartheta_hat * cfg.alpha
-        assert served["cols"] == consumed_samples(res, cfg)
+        assert served["cols"] == res.vartheta_hat * cfg.alpha
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(6)
@@ -392,15 +390,6 @@ class TestClusterEvd:
         assert res.vartheta_hat == 2
         assert res.cluster_sizes == (3, 2)
         assert subspace_error(res.P_hat, model.P) < 0.5
-
-    def test_consumed_samples_values(self):
-        rng = np.random.default_rng(8)
-        V = random_orthonormal(4, 4, rng)
-        Y = exact_covariance_block(V, [8.0, 4.4, 2.0, 1.2])
-        res = cluster_evd(iter([Y, Y]), ClusterEvdConfig(alpha=4, g_hat=2.4, thresh=0.5))
-        assert res.vartheta_hat == 2
-        assert consumed_samples(res, ClusterEvdConfig(alpha=300, g_hat=2.4, thresh=0.5)) == 600
-        assert consumed_samples(res, ClusterEvdConfig(alpha=10, g_hat=2.4, thresh=0.5)) == 20
 
 
 class TestClusterEvdProperties:

@@ -7,13 +7,11 @@ from ddnpca.errors import BasisError, DimensionError, SpectralGapError, Symmetry
 from ddnpca.linalg import (
     check_basis,
     empirical_covariance,
-    read_matrix,
     sin_theta_bound,
     spectral_norm,
     subspace_error,
     sym_eig,
     top_eigenvectors,
-    write_matrix,
 )
 
 
@@ -259,29 +257,6 @@ class TestSinThetaBound:
             measured = subspace_error(top_eigenvectors(A + H, r), Q[:, :r])
             assert measured <= b + 1e-9
         assert checked >= 30
-
-
-class TestMatrixIO:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(29)
-        M = rng.standard_normal((7, 4))
-        M[0, 0] = 1.0 / 3.0
-        M[1, 1] = 1e-300
-        M[2, 2] = -0.1
-        M[3, 3] = 0.0
-        path = tmp_path / "m.txt"
-        write_matrix(path, M)
-        back = read_matrix(path)
-        np.testing.assert_array_equal(back, M)
-        path2 = tmp_path / "m2.txt"
-        write_matrix(path2, back)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2\n1.0 2.0\n3.0\n")
-        with pytest.raises(DimensionError):
-            read_matrix(path)
 
 
 class TestCheckBasis:

@@ -416,11 +416,9 @@ def block_sum_bound_sweep(draws: int = 1000, seed: int = 0, n: int = 500, alpha:
         schedule = datagen.generate_support_schedule(
             n, alpha, s, rho, beta_tilde, start=start, wrap=True
         )
-        A_list = []
-        for T in schedule.supports:
-            B = rng.standard_normal((len(T), len(T)))
-            A_list.append(B.T @ B)
-        lhs, rhs, holds = verify_m2_bound(schedule, A_list)
+        # One (alpha, s, s) draw: the stream of one (s, s) draw per frame.
+        B = rng.standard_normal((alpha, s, s))
+        lhs, rhs, holds = verify_m2_bound(schedule, np.swapaxes(B, 1, 2) @ B)
         worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
         if not holds:
             violations += 1

@@ -68,9 +68,7 @@ def _cmd_verify(args) -> int:
     failed |= violations > 0
 
     try:
-        datagen.SupportSchedule(
-            n=50, supports=tuple([tuple(range(5))] * 20), s=5, rho=2, beta_tilde=1
-        )
+        datagen.SupportSchedule(n=50, supports=[range(5)] * 20, rho=2, beta_tilde=1)
         print("static-support counterexample: accepted [VIOLATED]")
         failed = True
     except ScheduleError:

@@ -3,7 +3,6 @@ schedules, and the missing-entry / sparse data-dependent corruption channels."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -72,13 +71,18 @@ def _coefficient_matrix(model: SignalModel, alpha: int, rng: np.random.Generator
 # Support schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSchedule:
     """Sequence of corruption/missing index sets T_t with motion structure.
 
+    `supports` is a read-only (alpha, s) integer array: row t holds the s
+    indices of T_t, sorted.  Every frame has exactly s indices; there are no
+    empty frames.  Schedules compare and hash by identity (an array field
+    has no single truth value).
+
     Validated at construction:
       1. every distinct support persists at most beta_tilde consecutive
-         frames (empty supports are exempt: they carry no corruption);
+         frames;
       2. supports rho changes apart are disjoint;
       3. either the departed-pixel sets of consecutive changes are pairwise
          disjoint (strict one-direction motion), or, failing that, no pixel
@@ -90,28 +94,35 @@ class SupportSchedule:
     """
 
     n: int
-    supports: tuple[tuple[int, ...], ...]
-    s: int
+    supports: np.ndarray
     rho: int
     beta_tilde: int
     condition3_mode: str = field(init=False, default="strict")
 
     def __post_init__(self):
-        if self.n < 1 or self.s < 1 or self.rho < 1 or self.beta_tilde < 1:
-            raise ParameterError("n, s, rho, beta_tilde must all be positive")
-        if not self.supports:
-            raise ScheduleError("schedule must contain at least one frame")
-        # Each distinct support is normalised and checked once, at the first
-        # frame it appears in, so an error names the same frame as a check
-        # of every frame would.
-        normalised: dict[tuple, tuple[int, ...]] = {}
-        norm_supports = []
-        for t, T in enumerate(self.supports):
-            T = tuple(T)
-            if T not in normalised:
-                normalised[T] = self._normalise(t, T)
-            norm_supports.append(normalised[T])
-        object.__setattr__(self, "supports", tuple(norm_supports))
+        if self.n < 1 or self.rho < 1 or self.beta_tilde < 1:
+            raise ParameterError("n, rho, beta_tilde must all be positive")
+        try:
+            S = np.asarray(self.supports)
+        except ValueError:
+            raise ScheduleError("supports must be an (alpha, s) array: frames differ in size") \
+                from None
+        if S.ndim != 2 or 0 in S.shape:
+            raise ScheduleError(f"supports must be an (alpha, s) array with alpha, s >= 1, "
+                                f"got shape {S.shape}")
+        if not np.issubdtype(S.dtype, np.integer):
+            raise ScheduleError(f"support indices must be integers, got dtype {S.dtype}")
+        S = np.sort(S, axis=1).astype(np.intp, copy=False)
+        duplicate = (S[:, 1:] == S[:, :-1]).any(axis=1)
+        out_of_range = (S[:, 0] < 0) | (S[:, -1] >= self.n)
+        bad = np.flatnonzero(duplicate | out_of_range)
+        if bad.size:
+            t = bad[0]
+            if duplicate[t]:
+                raise ScheduleError(f"frame {t}: duplicate indices in support")
+            raise ScheduleError(f"frame {t}: support index out of range [0, {self.n})")
+        S.flags.writeable = False
+        object.__setattr__(self, "supports", S)
         report = verify_schedule_conditions(self)
         if not report["condition1"]:
             raise ScheduleError(
@@ -129,55 +140,45 @@ class SupportSchedule:
                 f"(max cover {report['max_cover']} > rho^2*beta_tilde = {self.beta}) holds"
             )
 
-    def _normalise(self, t: int, T: tuple) -> tuple[int, ...]:
-        T = tuple(sorted(int(i) for i in T))
-        if len(set(T)) != len(T):
-            raise ScheduleError(f"frame {t}: duplicate indices in support")
-        if T and (T[0] < 0 or T[-1] >= self.n):
-            raise ScheduleError(f"frame {t}: support index out of range [0, {self.n})")
-        if len(T) > self.s:
-            raise ScheduleError(f"frame {t}: support size {len(T)} exceeds s={self.s}")
-        return T
-
     @property
     def alpha(self) -> int:
-        return len(self.supports)
+        return self.supports.shape[0]
+
+    @property
+    def s(self) -> int:
+        return self.supports.shape[1]
 
     @property
     def beta(self) -> int:
         return self.rho * self.rho * self.beta_tilde
 
 
-def _runs(supports) -> list[tuple[tuple[int, ...], int]]:
-    """Maximal runs of identical consecutive supports, as (support, length)."""
-    return [(T, sum(1 for _ in group)) for T, group in itertools.groupby(supports)]
+def _rowwise_isin(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """(k, s) mask: A[i, j] is in row i of B.  Entries lie in [0, n), so
+    offsetting row i by i*n keeps one membership test from matching rows."""
+    offset = (np.arange(A.shape[0]) * n)[:, None]
+    return np.isin(A + offset, B + offset)
 
 
 def verify_schedule_conditions(schedule: SupportSchedule) -> dict:
-    """Independently re-check the structural conditions of a schedule."""
-    runs = _runs(schedule.supports)
-    cond1 = all(length <= schedule.beta_tilde for T, length in runs if T)
-    cond2 = all(
-        not (set(runs[k][0]) & set(runs[k + schedule.rho][0]))
-        for k in range(len(runs) - schedule.rho)
-    )
-    cond3 = True
-    departed: set[int] = set()
-    for k in range(len(runs) - 1):
-        gone = set(runs[k][0]) - set(runs[k + 1][0])
-        if gone & departed:
-            cond3 = False
-            break
-        departed |= gone
+    """Independently re-check the structural conditions of a schedule.
+
+    Works on its runs: maximal stretches of identical consecutive rows,
+    each a distinct support R[k] held for lengths[k] frames.
+    """
+    S, n, rho = schedule.supports, schedule.n, schedule.rho
+    starts = np.flatnonzero(np.r_[True, (S[1:] != S[:-1]).any(axis=1)])
+    lengths = np.diff(np.r_[starts, S.shape[0]])
+    R = S[starts]
+    # Condition 3: no pixel leaves the support at more than one change.
+    gone = R[:-1][~_rowwise_isin(R[:-1], R[1:], n)]
     # Cover counts per run: each pixel of a run's support gains its length.
-    pixels = np.array([i for T, _ in runs for i in T], dtype=int)
-    lengths = np.array([length for T, length in runs for _ in T], dtype=int)
-    counts = np.bincount(pixels, weights=lengths, minlength=schedule.n)
-    max_cover = int(counts.max()) if schedule.n else 0
+    counts = np.bincount(R.ravel(), weights=np.repeat(lengths, R.shape[1]), minlength=n)
+    max_cover = int(counts.max())
     return {
-        "condition1": cond1,
-        "condition2": cond2,
-        "condition3": cond3,
+        "condition1": bool(lengths.max() <= schedule.beta_tilde),
+        "condition2": not _rowwise_isin(R[:-rho], R[rho:], n).any(),
+        "condition3": bool(np.bincount(gone, minlength=1).max() <= 1),
         "cover_bound": max_cover <= schedule.beta,
         "max_cover": max_cover,
     }
@@ -201,8 +202,8 @@ def generate_support_schedule(
     in small frames; construction then relies on the cover-bound form of
     the validation (see SupportSchedule).
     """
-    if alpha < 1:
-        raise ParameterError("alpha must be positive")
+    if min(alpha, s, rho, beta_tilde) < 1:
+        raise ParameterError("alpha, s, rho, beta_tilde must all be positive")
     if not 0 <= start < n:
         raise ParameterError(f"start={start} out of range [0, {n})")
     if s > n:
@@ -215,17 +216,10 @@ def generate_support_schedule(
                 f"support motion does not fit: minimal n is {required}, got {n} "
                 "(pass wrap=True for cyclic motion)"
             )
-    # Frame t sits at start + step * (t // beta_tilde): one support per run
-    # of beta_tilde frames, shared by every frame of the run.
-    supports = []
-    for k in range(math.ceil(alpha / beta_tilde)):
-        p = start + step * k
-        if wrap:
-            T = tuple(sorted((p + j) % n for j in range(s)))
-        else:
-            T = tuple(range(p, p + s))
-        supports.extend([T] * min(beta_tilde, alpha - k * beta_tilde))
-    return SupportSchedule(n=n, supports=tuple(supports), s=s, rho=rho, beta_tilde=beta_tilde)
+    S = start + step * (np.arange(alpha) // beta_tilde)[:, None] + np.arange(s)
+    if wrap:
+        S %= n
+    return SupportSchedule(n=n, supports=S, rho=rho, beta_tilde=beta_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +288,12 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
     channel).
 
     Stream contract: the coefficients are drawn first, in one (r, alpha)
-    batch.  The sparse channel then draws each frame's |T_t| x n corruption
-    matrix in frame order; frames are handled _FRAME_CHUNK at a time, and
-    a chunk's matrices come from one draw whose rows are the frames' rows
-    back to back, which consumes the generator exactly as one draw per
-    frame would.  Frames with an empty support, and a zero q_gen, draw
-    nothing.  Within a chunk, frames are grouped by support size and each
-    group is corrupted and measured as one stack of matrices.
+    batch.  The sparse channel then draws each frame's s x n corruption
+    matrix in frame order; frames are handled _FRAME_CHUNK at a time, and a
+    chunk of k frames takes its matrices from one (k, s, n) draw, which
+    consumes the generator exactly as one draw per frame would.  A zero
+    q_gen draws nothing.  Each chunk is corrupted with one stacked product
+    and measured with one stacked `spectral_norm`.
     """
     if alpha < 1:
         raise DimensionError("alpha must be positive")
@@ -319,34 +312,22 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
 
     for first in range(0, alpha, _FRAME_CHUNK):
         last = min(first + _FRAME_CHUNK, alpha)
-        supports = schedule.supports[first:last]
-        sizes = np.array([len(T) for T in supports])
-        if isinstance(noise, SddcNoiseModel):
-            shape = (int(sizes.sum()), model.n)
-            draws = rng.normal(0.0, noise.q_gen, size=shape) if noise.q_gen > 0 \
+        T = schedule.supports[first:last]  # (k, s)
+        cols = np.arange(first, last)[:, None]
+        if isinstance(noise, MissingNoiseModel):
+            Y[T, cols] = 0.0
+            q = spectral_norm(model.P[T])
+        else:
+            shape = (last - first, schedule.s, model.n)
+            Mst = rng.normal(0.0, noise.q_gen, size=shape) if noise.q_gen > 0 \
                 else np.zeros(shape)
-            row0 = np.cumsum(sizes) - sizes  # first row of each frame in `draws`
             # The chunk's columns as a view of L, strided as L[:, t] is, so each
-            # product below is the BLAS call `Mst @ L[:, t]` makes and sums in
-            # the same order (for |T_t| = 1 a dot product, whose order depends
-            # on whether the column is contiguous).
-            ell = L.T[first:last, :, None]
-        for m in np.unique(sizes[sizes > 0]):
-            frames = np.flatnonzero(sizes == m)
-            T = np.array([supports[i] for i in frames])  # (k, m)
-            cols = (first + frames)[:, None]
-            if isinstance(noise, MissingNoiseModel):
-                Y[T, cols] = 0.0
-                q = spectral_norm(model.P[T])
-            else:
-                if frames.size == last - first:  # one size in the chunk: no copy needed
-                    Mst = draws.reshape(-1, m, model.n)
-                else:  # frames of other sizes get zero matrices, to line up with `ell`
-                    Mst = np.zeros((last - first, m, model.n))
-                    Mst[frames] = draws[row0[frames, None] + np.arange(m)]
-                Y[T, cols] += (Mst @ ell)[frames, :, 0]
-                q = spectral_norm((Mst @ model.P)[frames])
-            q_measured = max(q_measured, q)
+            # product is the BLAS call `Mst @ L[:, t]` makes and sums in the
+            # same order (for s = 1 a dot product, whose order depends on
+            # whether the column is contiguous).
+            Y[T, cols] += (Mst @ L.T[first:last, :, None])[:, :, 0]
+            q = spectral_norm(Mst @ model.P)
+        q_measured = max(q_measured, q)
 
     return Y, L, schedule, q_measured
 

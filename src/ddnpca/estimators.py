@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasisError,
     DimensionError,
     EmptySubspaceError,
     InsufficientDataError,
@@ -17,9 +16,7 @@ from .errors import (
     OrderError,
     ParameterError,
 )
-from .linalg import _fix_signs, empirical_covariance, sym_eig
-
-_CONSUME_TOL = 1e-8  # orthonormality slack allowed on accumulated bases
+from .linalg import ACCUMULATED_BASIS_TOL, _fix_signs, check_basis, empirical_covariance, sym_eig
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,7 @@ class ClusterEvdResult:
     def __post_init__(self):
         if sum(self.cluster_sizes) != self.P_hat.shape[1]:
             raise DimensionError("cluster sizes do not add up to the basis width")
-        k = self.P_hat.shape[1]
-        err = np.max(np.abs(self.P_hat.T @ self.P_hat - np.eye(k)))
-        if err > _CONSUME_TOL:
-            raise BasisError(f"estimated basis not orthonormal: max |P'P - I| = {err:.3e}")
+        check_basis(self.P_hat, tol=ACCUMULATED_BASIS_TOL, name="estimated basis")
 
 
 @dataclass(frozen=True)
@@ -104,17 +98,11 @@ def deflate(Y, G=None) -> np.ndarray:
         raise DimensionError("Y must be 2-D")
     if G is None:
         return Y
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2:
-        raise DimensionError("G must be 2-D")
+    G = check_basis(G, tol=ACCUMULATED_BASIS_TOL, name="G")
     if G.shape[0] != Y.shape[0]:
         raise DimensionError(f"G has {G.shape[0]} rows, Y has {Y.shape[0]}")
-    k = G.shape[1]
-    if k == 0:
+    if G.shape[1] == 0:
         return Y
-    err = np.max(np.abs(G.T @ G - np.eye(k)))
-    if err > _CONSUME_TOL:
-        raise BasisError(f"G not orthonormal: max |G'G - I| = {err:.3e}")
     Z = G @ (G.T @ Y)
     return np.subtract(Y, Z, out=Z)  # in place: one n x alpha temporary, not two
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import BasisError, DimensionError, SpectralGapError, SymmetryError
 
 BASIS_TOL = 1e-10
+ACCUMULATED_BASIS_TOL = 1e-8  # slack for bases accumulated block by block
 
 
 def _as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -106,11 +107,10 @@ def subspace_error(Phat, P) -> float:
 
     Computed as the spectral norm of (I - Phat Phat') P and clamped to [0, 1]
     against roundoff.  Asymmetric when the column counts differ.  Inputs are
-    validated at 1e-8 (accumulated bases concatenated block by block are
-    allowed that much drift); freshly factorized bases are far tighter.
+    validated at ACCUMULATED_BASIS_TOL.
     """
-    Phat = check_basis(Phat, tol=1e-8, name="Phat")
-    P = check_basis(P, tol=1e-8, name="P")
+    Phat = check_basis(Phat, tol=ACCUMULATED_BASIS_TOL, name="Phat")
+    P = check_basis(P, tol=ACCUMULATED_BASIS_TOL, name="P")
     if Phat.shape[0] != P.shape[0]:
         raise DimensionError(f"row dimensions differ: {Phat.shape[0]} vs {P.shape[0]}")
     R = P - Phat @ (Phat.T @ P)

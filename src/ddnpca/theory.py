@@ -129,35 +129,39 @@ def beta_frac_cluster(inp: BoundInputs) -> float:
     )
 
 
-def verify_m2_bound(schedule: SupportSchedule, A_list) -> tuple[float, float, bool]:
+def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
     """Brute-force check of the block-sum norm bound.
 
-    Assembles sum_t I_T A_t I_T' explicitly and compares its spectral norm
-    (lhs) against rho^2 * beta_tilde * max_t ||A_t|| (rhs).
+    A is an (alpha, s, s) stack, one PSD matrix per frame (a list of equal
+    shape matrices works too).  Assembles sum_t I_T A_t I_T' explicitly and
+    compares its spectral norm (lhs) against rho^2 * beta_tilde * max_t
+    ||A_t|| (rhs).
     """
-    if len(A_list) != schedule.alpha:
-        raise DimensionError(
-            f"need one matrix per frame: {len(A_list)} given, schedule has {schedule.alpha}"
-        )
-    S = np.zeros((schedule.n, schedule.n))
-    max_norm = 0.0
-    for t, (T, A) in enumerate(zip(schedule.supports, A_list)):
+    try:
         A = np.asarray(A, dtype=float)
-        if A.shape != (len(T), len(T)):
-            raise DimensionError(f"frame {t}: matrix is {A.shape}, support has {len(T)} indices")
-        if len(T) == 0:
-            continue
-        if np.max(np.abs(A - A.T)) > 1e-9 * max(1.0, np.max(np.abs(A))):
+    except ValueError:
+        raise DimensionError("the per-frame matrices differ in shape") from None
+    if A.shape != (schedule.alpha, schedule.s, schedule.s):
+        raise DimensionError(f"need one s x s matrix per frame, (alpha, s, s) = "
+                             f"{(schedule.alpha, schedule.s, schedule.s)}; got {A.shape}")
+    At = np.swapaxes(A, 1, 2)
+    asym = np.abs(A - At).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    w = np.linalg.eigvalsh((A + At) / 2.0)
+    not_symmetric = asym > 1e-9 * scale
+    bad = np.flatnonzero(not_symmetric | (w[:, 0] < -1e-9))
+    if bad.size:
+        t = bad[0]
+        if not_symmetric[t]:
             raise PsdError(f"frame {t}: matrix is not symmetric")
-        w = np.linalg.eigvalsh((A + A.T) / 2.0)
-        if w[0] < -1e-9:
-            raise PsdError(f"frame {t}: negative eigenvalue {w[0]:.3e}")
-        idx = list(T)
-        S[np.ix_(idx, idx)] += A
-        max_norm = max(max_norm, float(w[-1]))
+        raise PsdError(f"frame {t}: negative eigenvalue {w[t, 0]:.3e}")
+    S = np.zeros((schedule.n, schedule.n))
+    T = schedule.supports
+    np.add.at(S, (T[:, :, None], T[:, None, :]), A)  # frame by frame, in order
+    max_norm = max(0.0, float(w[:, -1].max()))
     # S is symmetric by construction; its spectral norm is the extreme eigenvalue
     ws = np.linalg.eigvalsh((S + S.T) / 2.0)
-    lhs = float(max(abs(ws[0]), abs(ws[-1]))) if ws.size else 0.0
+    lhs = float(max(abs(ws[0]), abs(ws[-1])))
     rhs = schedule.beta * max_norm
     return lhs, rhs, lhs <= rhs + 1e-9
 

@@ -132,7 +132,7 @@ def test_criterion_5_block_sum_bound_oracle():
     violations, worst = block_sum_bound_sweep(draws=1000, seed=2024)
     rejected = False
     try:
-        SupportSchedule(n=500, supports=tuple([tuple(range(5))] * 300), s=5, rho=2, beta_tilde=1)
+        SupportSchedule(n=500, supports=tuple([tuple(range(5))] * 300), rho=2, beta_tilde=1)
     except ScheduleError:
         rejected = True
     report(5, "block-sum bound oracle", violations == 0 and rejected,

@@ -78,7 +78,7 @@ class TestSampleCoefficients:
 class TestGenerateSupportSchedule:
     def test_single_frame(self):
         sched = generate_support_schedule(10, 1, 3, 3, 1, start=0)
-        assert sched.supports == ((0, 1, 2),)
+        assert sched.supports.tolist() == [[0, 1, 2]]
 
     def test_capacity_error_names_minimum(self):
         with pytest.raises(CapacityError, match="905"):
@@ -87,9 +87,9 @@ class TestGenerateSupportSchedule:
     def test_expt1_window_wraps(self):
         sched = generate_support_schedule(500, 300, 5, 2, 1, start=0, wrap=True)
         assert sched.alpha == 300
-        assert all(len(T) == 5 for T in sched.supports)
+        assert sched.supports.shape == (300, 5)
         # shifted by ceil(5/2) = 3 each frame, disjoint two frames apart
-        assert sched.supports[1] == tuple((i + 3) % 500 for i in range(5))
+        assert sched.supports[1].tolist() == [(i + 3) % 500 for i in range(5)]
         for t in range(298):
             assert not set(sched.supports[t]) & set(sched.supports[t + 2])
         assert sched.condition3_mode == "cover"
@@ -104,7 +104,7 @@ class TestGenerateSupportSchedule:
     def test_persistence(self):
         sched = generate_support_schedule(100, 12, 4, 2, 3)
         runs = []
-        for T in sched.supports:
+        for T in map(tuple, sched.supports):
             if runs and runs[-1][0] == T:
                 runs[-1][1] += 1
             else:
@@ -116,25 +116,48 @@ class TestScheduleValidator:
     def test_static_support_rejected(self):
         supports = tuple([tuple(range(5))] * 20)
         with pytest.raises(ScheduleError):
-            SupportSchedule(n=50, supports=supports, s=5, rho=2, beta_tilde=1)
+            SupportSchedule(n=50, supports=supports, rho=2, beta_tilde=1)
 
     def test_lag_rho_overlap_rejected(self):
         # moves by 2 < ceil(s/rho)=3 each frame: supports two changes apart overlap
         supports = tuple(tuple(range(2 * t, 2 * t + 5)) for t in range(10))
         with pytest.raises(ScheduleError):
-            SupportSchedule(n=100, supports=supports, s=5, rho=2, beta_tilde=1)
+            SupportSchedule(n=100, supports=supports, rho=2, beta_tilde=1)
 
-    def test_oversized_support_rejected(self):
-        with pytest.raises(ScheduleError):
-            SupportSchedule(n=50, supports=((0, 1, 2),), s=2, rho=1, beta_tilde=1)
+    def test_ragged_supports_rejected(self):
+        with pytest.raises(ScheduleError, match="differ in size"):
+            SupportSchedule(n=50, supports=((0, 1, 2), (3, 4)), rho=1, beta_tilde=1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ScheduleError):
-            SupportSchedule(n=3, supports=((2, 3),), s=2, rho=1, beta_tilde=1)
+            SupportSchedule(n=3, supports=((2, 3),), rho=1, beta_tilde=1)
 
-    def test_empty_supports_allowed(self):
-        sched = SupportSchedule(n=5, supports=((), (), ()), s=2, rho=1, beta_tilde=1)
-        assert sched.alpha == 3
+    def test_empty_supports_rejected(self):
+        # no frames, frames with no index, and a flat list are not (alpha, s)
+        for supports in [(), ((), (), ()), (0, 1, 2)]:
+            with pytest.raises(ScheduleError, match="alpha, s >= 1"):
+                SupportSchedule(n=5, supports=supports, rho=1, beta_tilde=1)
+
+    @pytest.mark.parametrize("supports", [((0.0, 2.7), (True, 9.9)), ((0.0, 2.0),),
+                                          ((True, False),), (("0", "1"),)])
+    def test_non_integer_indices_rejected(self, supports):
+        # float and boolean indices are refused, not cast to int
+        with pytest.raises(ScheduleError, match="must be integers, got dtype"):
+            SupportSchedule(n=50, supports=supports, rho=1, beta_tilde=1)
+
+    def test_supports_stored_as_read_only_index_array(self):
+        given_supports = np.array([[4, 1], [2, 3]], dtype=np.int32)
+        sched = SupportSchedule(n=5, supports=given_supports, rho=1, beta_tilde=1)
+        assert sched.supports.dtype == np.intp and sched.supports.shape == (2, 2)
+        assert (sched.alpha, sched.s) == (2, 2)
+        assert sched.supports.tolist() == [[1, 4], [2, 3]]
+        assert given_supports.tolist() == [[4, 1], [2, 3]]  # the caller's array is not sorted
+        with pytest.raises(ValueError):
+            sched.supports[0, 0] = 0
+        # identity comparison: an array field would make `==` and hash() raise
+        assert sched == sched and sched != SupportSchedule(n=5, supports=given_supports,
+                                                           rho=1, beta_tilde=1)
+        assert hash(MissingNoiseModel(sched)) == hash(MissingNoiseModel(sched))
 
     def test_beta(self):
         sched = generate_support_schedule(1000, 10, 5, 2, 1)
@@ -189,14 +212,6 @@ class TestChannels:
 
 
 class TestGenerateDataset:
-    def test_empty_supports_identity_channel(self):
-        model = SignalModel(P=sparse_basis(6, 2), lam=np.array([2.0, 1.0]))
-        sched = SupportSchedule(n=6, supports=((), (), (), ()), s=2, rho=1, beta_tilde=1)
-        rng = np.random.default_rng(0)
-        Y, L, _, q = generate_dataset(model, MissingNoiseModel(sched), 4, rng)
-        np.testing.assert_array_equal(Y, L)
-        assert q == 0.0
-
     def test_missing_channel_invariants(self):
         model = expt1_model()
         sched = generate_support_schedule(500, 50, 5, 2, 1, wrap=True)
@@ -255,7 +270,7 @@ def per_frame_dataset(model, noise, alpha, rng):
     Y = np.empty_like(L)
     q = 0.0
     for t in range(alpha):
-        T = noise.schedule.supports[t]
+        T = tuple(noise.schedule.supports[t])
         if isinstance(noise, MissingNoiseModel):
             Y[:, t] = apply_missing(L[:, t], T)
             W = model.P[list(T), :]
@@ -288,11 +303,11 @@ def make_model(n, r, basis, seed):
     return SignalModel(P=P, lam=lam)
 
 
-def make_noise(channel, q_gen, n, supports, s):
+def make_noise(channel, q_gen, n, supports):
     # rho and beta_tilde as long as the schedule make every motion condition
     # hold, so any support sequence is a valid schedule
     alpha = len(supports)
-    schedule = SupportSchedule(n=n, supports=tuple(supports), s=s, rho=alpha, beta_tilde=alpha)
+    schedule = SupportSchedule(n=n, supports=supports, rho=alpha, beta_tilde=alpha)
     return MissingNoiseModel(schedule) if channel == "missing" else SddcNoiseModel(q_gen, schedule)
 
 
@@ -303,14 +318,14 @@ def dataset_cases(draw):
     s = draw(st.integers(1, n))
     alpha = draw(st.sampled_from([1, _FRAME_CHUNK - 1, _FRAME_CHUNK, _FRAME_CHUNK + 1, 130]))
     extra = draw(st.integers(0, 3))  # schedule frames the dataset does not use
-    supports = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=s),
+    supports = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=s, max_size=s, unique=True),
                              min_size=alpha + extra, max_size=alpha + extra))
     channel = draw(st.sampled_from(["missing", "sddc"]))
     q_gen = draw(st.sampled_from([0.0, 0.01, 0.7]))
     basis = draw(st.sampled_from(["sparse", "random"]))
     seed = draw(st.integers(0, 2**32 - 1))
     model = make_model(n, r, basis, seed)
-    return model, make_noise(channel, q_gen, n, supports, s), alpha, seed
+    return model, make_noise(channel, q_gen, n, supports), alpha, seed
 
 
 class TestBatchedAgainstPerFrame:
@@ -327,14 +342,13 @@ class TestBatchedAgainstPerFrame:
     @pytest.mark.parametrize("basis", ["sparse", "random"])
     @pytest.mark.parametrize("q_gen", [0.0, 0.05])
     def test_chunk_boundaries(self, alpha, channel, basis, q_gen):
-        # mixed support sizes, empty ones included, and two frames more in
-        # the schedule than the dataset uses
-        n, s = 30, 4
+        # support sizes 1 to 4 across the alpha values, and two frames more
+        # in the schedule than the dataset uses
+        n, s = 30, 1 + alpha % 4
         rng = np.random.default_rng(alpha)
-        supports = [tuple(rng.choice(n, size=int(m), replace=False))
-                    for m in rng.integers(0, s + 1, size=alpha + 2)]
+        supports = [rng.choice(n, size=s, replace=False) for _ in range(alpha + 2)]
         model = make_model(n, 3, basis, seed=7)
-        assert_matches_per_frame(model, make_noise(channel, q_gen, n, supports, s), alpha, 11)
+        assert_matches_per_frame(model, make_noise(channel, q_gen, n, supports), alpha, 11)
 
     @pytest.mark.parametrize("channel", ["missing", "sddc"])
     def test_expt1_schedule(self, channel):
@@ -376,29 +390,27 @@ def brute_force_conditions(supports, n, rho, beta_tilde):
 
 @st.composite
 def support_sequences(draw):
-    """Sorted-tuple support sequences with repeats and empty supports: either
-    runs of arbitrary supports, or a wrapped constant-velocity motion with
-    some frames emptied."""
+    """Sorted-tuple support sequences of one size s with repeats: either runs
+    of arbitrary supports, or a wrapped constant-velocity motion."""
     n = draw(st.integers(1, 9))
+    s = draw(st.integers(1, n))
     rho = draw(st.integers(1, 3))
     beta_tilde = draw(st.integers(1, 3))
     if draw(st.booleans()):
         runs = draw(st.lists(
-            st.tuples(st.frozensets(st.integers(0, n - 1), max_size=n), st.integers(1, 4)),
+            st.tuples(st.frozensets(st.integers(0, n - 1), min_size=s, max_size=s),
+                      st.integers(1, 4)),
             min_size=1, max_size=12,
         ))
         supports = [tuple(sorted(T)) for T, length in runs for _ in range(length)]
     else:
-        s = draw(st.integers(1, n))
         alpha = draw(st.integers(1, 30))
         start = draw(st.integers(0, n - 1))
         run = draw(st.integers(1, 4))
         step = draw(st.integers(1, n))
-        empty = draw(st.sets(st.integers(0, alpha - 1)))
-        supports = [() if t in empty else
-                    tuple(sorted((start + step * (t // run) + j) % n for j in range(s)))
+        supports = [tuple(sorted((start + step * (t // run) + j) % n for j in range(s)))
                     for t in range(alpha)]
-    return n, max(len(T) for T in supports) or 1, rho, beta_tilde, supports
+    return n, s, rho, beta_tilde, supports
 
 
 class TestScheduleAgainstBruteForce:
@@ -407,7 +419,7 @@ class TestScheduleAgainstBruteForce:
     def test_report_and_validation(self, case):
         n, s, rho, beta_tilde, supports = case
         expected = brute_force_conditions(supports, n, rho, beta_tilde)
-        duck = SimpleNamespace(n=n, supports=tuple(supports), rho=rho,
+        duck = SimpleNamespace(n=n, supports=np.array(supports), rho=rho,
                                beta_tilde=beta_tilde, beta=rho * rho * beta_tilde)
         assert verify_schedule_conditions(duck) == expected
 
@@ -415,32 +427,33 @@ class TestScheduleAgainstBruteForce:
             expected["condition3"] or expected["cover_bound"])
         if not valid:
             with pytest.raises(ScheduleError):
-                SupportSchedule(n=n, supports=tuple(supports), s=s, rho=rho, beta_tilde=beta_tilde)
+                SupportSchedule(n=n, supports=supports, rho=rho, beta_tilde=beta_tilde)
             return
-        sched = SupportSchedule(n=n, supports=tuple(supports), s=s, rho=rho, beta_tilde=beta_tilde)
-        assert sched.supports == tuple(supports)
+        sched = SupportSchedule(n=n, supports=supports, rho=rho, beta_tilde=beta_tilde)
+        assert sched.supports.shape == (len(supports), s)
+        assert sched.supports.tolist() == [list(T) for T in supports]
         assert sched.condition3_mode == ("strict" if expected["condition3"] else "cover")
 
     @pytest.mark.parametrize("supports, broken", [
         ([(0, 1)] * 3, "condition1"),
         ([(0, 1), (1, 2), (2, 3)], "condition2"),
         ([(0,), (1,), (0,), (1,)], "condition3"),
-        ([(0,), (), (0,), (), (0,)], "cover_bound"),
+        ([(0,), (1,), (0,), (1,), (0,)], "cover_bound"),
     ])
     def test_each_condition_can_fail(self, supports, broken):
         report = verify_schedule_conditions(
-            SimpleNamespace(n=4, supports=tuple(supports), rho=1, beta_tilde=2, beta=2))
+            SimpleNamespace(n=4, supports=np.array(supports), rho=1, beta_tilde=2, beta=2))
         assert report == brute_force_conditions(supports, 4, 1, 2)
         assert not report[broken]
 
     def test_error_names_first_bad_frame(self):
         supports = ((0, 1), (2, 3), (0, 1), (2, 7), (2, 7))
         with pytest.raises(ScheduleError, match=r"^frame 3: support index out of range"):
-            SupportSchedule(n=5, supports=supports, s=2, rho=1, beta_tilde=1)
+            SupportSchedule(n=5, supports=supports, rho=1, beta_tilde=1)
 
     def test_unsorted_repeats_normalised(self):
-        sched = SupportSchedule(n=6, supports=((3, 1), [1, 3], (5, 4)), s=2, rho=1, beta_tilde=2)
-        assert sched.supports == ((1, 3), (1, 3), (4, 5))
+        sched = SupportSchedule(n=6, supports=((3, 1), [1, 3], (5, 4)), rho=1, beta_tilde=2)
+        assert sched.supports.tolist() == [[1, 3], [1, 3], [4, 5]]
 
     @given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 6), st.integers(1, 4),
            st.integers(1, 5), st.integers(0, 39), st.booleans())
@@ -460,10 +473,10 @@ class TestScheduleAgainstBruteForce:
             return
         except ScheduleError as exc:
             with pytest.raises(ScheduleError) as direct:
-                SupportSchedule(n=n, supports=tuple(expected), s=s, rho=rho, beta_tilde=beta_tilde)
+                SupportSchedule(n=n, supports=expected, rho=rho, beta_tilde=beta_tilde)
             assert str(direct.value) == str(exc)
             return
-        assert sched.supports == tuple(expected)
+        assert sched.supports.tolist() == [list(T) for T in expected]
 
 
 class TestBases:

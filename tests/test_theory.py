@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ddnpca import bench
 from ddnpca.datagen import SddcNoiseModel, SignalModel, SupportSchedule, generate_dataset, \
     generate_support_schedule, sparse_basis
 from ddnpca.errors import DimensionError, ParameterError, PsdError, ScheduleError, SpectralGapError
@@ -171,7 +174,7 @@ class TestBetaFracCluster:
 class TestVerifyM2Bound:
     def test_disjoint_identity_blocks(self):
         supports = tuple((2 * t, 2 * t + 1) for t in range(5))
-        sched = SupportSchedule(n=10, supports=supports, s=2, rho=1, beta_tilde=1)
+        sched = SupportSchedule(n=10, supports=supports, rho=1, beta_tilde=1)
         A_list = [np.eye(2)] * 5
         lhs, rhs, holds = verify_m2_bound(sched, A_list)
         assert lhs == pytest.approx(1.0, rel=1e-12)
@@ -199,20 +202,125 @@ class TestVerifyM2Bound:
             S[:s, :s] += np.eye(s)
         assert np.linalg.norm(S, 2) == pytest.approx(alpha, rel=1e-12)
         with pytest.raises(ScheduleError):
-            SupportSchedule(n=10, supports=supports, s=s, rho=2, beta_tilde=1)
+            SupportSchedule(n=10, supports=supports, rho=2, beta_tilde=1)
 
     def test_psd_error(self):
-        sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), s=2, rho=1, beta_tilde=1)
+        sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), rho=1, beta_tilde=1)
         bad = [np.eye(2), np.diag([1.0, -0.5])]
         with pytest.raises(PsdError):
             verify_m2_bound(sched, bad)
 
     def test_dimension_error(self):
-        sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), s=2, rho=1, beta_tilde=1)
+        sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), rho=1, beta_tilde=1)
         with pytest.raises(DimensionError):
             verify_m2_bound(sched, [np.eye(2), np.eye(3)])
         with pytest.raises(DimensionError):
             verify_m2_bound(sched, [np.eye(2)])
+
+        with pytest.raises(DimensionError):
+            verify_m2_bound(sched, np.zeros((2, 3, 3)))
+
+
+def per_frame_m2_bound(schedule, A_list):
+    """Reference for verify_m2_bound: the oracle one frame at a time, each
+    frame checked, decomposed and added into the sum on its own."""
+    S = np.zeros((schedule.n, schedule.n))
+    max_norm = 0.0
+    for t, (T, A) in enumerate(zip(schedule.supports, A_list)):
+        A = np.asarray(A, dtype=float)
+        if np.max(np.abs(A - A.T)) > 1e-9 * max(1.0, np.max(np.abs(A))):
+            raise PsdError(f"frame {t}: matrix is not symmetric")
+        w = np.linalg.eigvalsh((A + A.T) / 2.0)
+        if w[0] < -1e-9:
+            raise PsdError(f"frame {t}: negative eigenvalue {w[0]:.3e}")
+        idx = list(T)
+        S[np.ix_(idx, idx)] += A
+        max_norm = max(max_norm, float(w[-1]))
+    ws = np.linalg.eigvalsh((S + S.T) / 2.0)
+    lhs = float(max(abs(ws[0]), abs(ws[-1])))
+    rhs = schedule.beta * max_norm
+    return lhs, rhs, lhs <= rhs + 1e-9
+
+
+def per_frame_sweep(draws, seed, n, alpha, s, rho, beta_tilde):
+    """Reference for block_sum_bound_sweep: one (s, s) draw per frame.
+    Returns each draw's (lhs, rhs, holds) and the generator."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(draws):
+        start = int(rng.integers(0, n))
+        schedule = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start, wrap=True)
+        A_list = []
+        for T in schedule.supports:
+            B = rng.standard_normal((len(T), len(T)))
+            A_list.append(B.T @ B)
+        results.append(per_frame_m2_bound(schedule, A_list))
+    return results, rng
+
+
+def assert_sweep_matches_per_frame(monkeypatch, draws, seed, n, alpha, s, rho, beta_tilde):
+    made, seen = [], []
+    default_rng, oracle = np.random.default_rng, bench.verify_m2_bound
+
+    def capture_rng(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    def record(schedule, A):
+        seen.append(oracle(schedule, A))
+        return seen[-1]
+
+    monkeypatch.setattr(bench.np.random, "default_rng", capture_rng)
+    monkeypatch.setattr(bench, "verify_m2_bound", record)
+    violations, worst = bench.block_sum_bound_sweep(
+        draws=draws, seed=seed, n=n, alpha=alpha, s=s, rho=rho, beta_tilde=beta_tilde)
+    monkeypatch.undo()
+    expected, ref_rng = per_frame_sweep(draws, seed, n, alpha, s, rho, beta_tilde)
+    assert seen == expected  # floats compared exactly
+    assert violations == sum(not holds for _, _, holds in expected)
+    assert len(made) == 1 and made[0].bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestM2BoundAgainstPerFrame:
+    """The stacked oracle and the sweep's one-draw-per-block stream must give
+    the per-frame results bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 50),
+           st.integers(1, 5), st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sweeps(self, seed, n, alpha, s, rho, beta_tilde):
+        assume(s <= n)
+        try:
+            generate_support_schedule(n, alpha, s, rho, beta_tilde, wrap=True)
+        except ScheduleError:
+            assume(False)  # wrapped motion too dense for the cover bound
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_sweep_matches_per_frame(monkeypatch, 3, seed, n, alpha, s, rho, beta_tilde)
+
+    @pytest.mark.parametrize("n, alpha, s, rho, beta_tilde", [
+        (500, 300, 5, 2, 1),   # the verify command's setting
+        (30, 40, 1, 1, 2),     # s = 1
+        (12, 25, 3, 3, 2),     # step 1, wraps twice
+        (9, 12, 4, 2, 3),      # runs of three frames
+    ])
+    def test_pinned_wrapped_schedules(self, monkeypatch, n, alpha, s, rho, beta_tilde):
+        assert_sweep_matches_per_frame(monkeypatch, 4, 2024, n, alpha, s, rho, beta_tilde)
+
+    def test_first_bad_frame_named(self):
+        sched = generate_support_schedule(40, 12, 3, 1, 1, wrap=True)
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((12, 3, 3))
+        A = np.swapaxes(B, 1, 2) @ B
+        negative = A.copy()
+        negative[9] = np.diag([1.0, -0.5, 2.0])
+        asymmetric = negative.copy()
+        asymmetric[4, 0, 2] += 1e-3
+        for stack, frame in ((negative, 9), (asymmetric, 4)):
+            with pytest.raises(PsdError) as ref:
+                per_frame_m2_bound(sched, list(stack))
+            with pytest.raises(PsdError, match=f"^frame {frame}: ") as got:
+                verify_m2_bound(sched, stack)
+            assert str(got.value) == str(ref.value)
 
 
 class TestPerturbationDecomposition:

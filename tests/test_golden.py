@@ -1,5 +1,5 @@
-"""Golden-output regressions for `ddnpca run`, `ddnpca verify` and
-`ddnpca bounds`.
+"""Golden-output regressions for `ddnpca run`, `ddnpca verify`,
+`ddnpca bounds` and `ddnpca partition`.
 
 `tests/data/golden_expt1.csv` is the output of
 
@@ -18,6 +18,16 @@ while any real change in the estimators or the data moves them by far more.
 and `tests/data/golden_bounds.txt` that of `ddnpca bounds configs/expt1.cfg`,
 both frozen before schedules were stored as (alpha, s) index arrays.  They
 must match byte for byte: the oracle sweeps print rounded figures only.
+
+`tests/data/golden_partition_plot.txt` and `golden_partition_stdout.txt`
+are the plot file and stdout of
+
+    ddnpca partition golden_partition_eigs.txt --g 3 --out golden_partition_plot.txt
+
+run in `tests/data`, frozen before partitions carried their own statistics.
+The spectrum has exact ratio-3 ties (900/300, 0.0369/0.0123), equal values,
+a pair that only the ratio-form comparison keeps together (0.111/0.037 <= 3
+while 0.111 > 3*0.037) and trailing zeros.  Both must match byte for byte.
 """
 
 from pathlib import Path
@@ -30,6 +40,9 @@ GOLDEN = ROOT / "tests" / "data" / "golden_expt1.csv"
 EXPT1_CFG = ROOT / "configs" / "expt1.cfg"
 GOLDEN_VERIFY = ROOT / "tests" / "data" / "golden_verify.txt"
 GOLDEN_BOUNDS = ROOT / "tests" / "data" / "golden_bounds.txt"
+PARTITION_EIGS = ROOT / "tests" / "data" / "golden_partition_eigs.txt"
+GOLDEN_PARTITION_PLOT = ROOT / "tests" / "data" / "golden_partition_plot.txt"
+GOLDEN_PARTITION_STDOUT = ROOT / "tests" / "data" / "golden_partition_stdout.txt"
 
 EXACT = ("trial", "method", "vartheta_hat", "rank_hat", "seed")
 CLOSE = ("se", "q_measured")
@@ -67,3 +80,12 @@ def test_verify_matches_golden(capsys):
 def test_bounds_matches_golden(capsys):
     assert cli_main(["bounds", str(EXPT1_CFG)]) == 0
     assert capsys.readouterr().out == GOLDEN_BOUNDS.read_text()
+
+
+def test_partition_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # stdout names the plot file as given
+    assert cli_main(["partition", str(PARTITION_EIGS), "--g", "3",
+                     "--out", "golden_partition_plot.txt"]) == 0
+    assert capsys.readouterr().out == GOLDEN_PARTITION_STDOUT.read_text()
+    assert (tmp_path / "golden_partition_plot.txt").read_bytes() == \
+        GOLDEN_PARTITION_PLOT.read_bytes()

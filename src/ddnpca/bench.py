@@ -4,7 +4,6 @@ estimators, CSV output, and the oracle sweeps behind the `verify` command."""
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -13,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .errors import ConfigError, DdnPcaError, SpectralGapError
-from .estimators import ClusterEvdConfig, EvdConfig, block_eig, cluster_evd, simple_evd
+from .errors import ConfigError, DdnPcaError, ParameterError, SpectralGapError
+from .estimators import block_eig, cluster_evd, simple_evd
 from .linalg import subspace_error
-from .spectrum import ClusterPartition, g_partition, partition_stats
+from .spectrum import ClusterPartition, g_partition
 from .theory import (
     BoundInputs,
     alpha0_cluster,
@@ -187,7 +186,7 @@ class _BlockStream:
             step = math.ceil(cfg.s / cfg.rho)
             start = (step * math.ceil(cfg.alpha / cfg.beta_tilde) * self._k) % cfg.n
             schedule = datagen.generate_support_schedule(
-                cfg.n, cfg.alpha, cfg.s, cfg.rho, cfg.beta_tilde, start=start, wrap=True
+                cfg.n, cfg.alpha, cfg.s, cfg.rho, cfg.beta_tilde, start=start
             )
             if cfg.noise_kind == "missing":
                 noise = datagen.MissingNoiseModel(schedule)
@@ -226,10 +225,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     """Run both estimators once; deterministic given (cfg, trial_index).
 
     The trial's randomness derives from base_seed + trial_index alone.  The
-    one-shot estimator sees the first block; the cluster estimator streams
-    from the same first block onward.  The first block is decomposed once
-    and the decomposition is shared by both.  Estimator failures are
-    recorded (se=None), not raised.
+    first block is decomposed once: the one-shot estimator uses that
+    decomposition alone, and the cluster estimator starts from it and draws
+    later blocks from the stream.  Estimator failures are recorded
+    (se=None), not raised; when the first block cannot be decomposed, both
+    rows fail.
 
     Each row's time_ms is what its method would cost alone, without data
     generation: the shared first-block decomposition is charged to both
@@ -241,14 +241,16 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
 
     t0 = time.perf_counter()
     try:
-        eig1 = block_eig(Y1)
-    except DdnPcaError:
-        eig1 = None  # each estimator decomposes again and records its own failure
+        eig1, first_error = block_eig(Y1), None
+    except DdnPcaError as exc:
+        eig1, first_error = None, exc
     shared_ms = (time.perf_counter() - t0) * 1e3
 
     def record(method, estimate) -> TrialRecord:
         gen0, t0 = stream.gen_ms, time.perf_counter()
         try:
+            if first_error is not None:
+                raise first_error
             P_hat, vartheta_hat = estimate()
             t1 = time.perf_counter()
             se, rank_hat = subspace_error(P_hat, model.P), P_hat.shape[1]
@@ -263,12 +265,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
         )
 
     def evd():
-        return simple_evd(Y1, EvdConfig(thresh=thresh), eig=eig1), 1
+        return simple_evd(eig1, thresh), 1
 
     def cluster():
-        ccfg = ClusterEvdConfig(alpha=cfg.alpha, g_hat=cfg.g_hat, thresh=thresh)
-        result = cluster_evd(itertools.chain([Y1], stream), ccfg,
-                             max_clusters=cfg.r, first_eig=eig1)
+        result = cluster_evd(eig1, stream, cfg.g_hat, thresh, max_clusters=cfg.r)
         return result.P_hat, result.vartheta_hat
 
     return [record("evd", evd), record("cluster_evd", cluster)]
@@ -344,14 +344,15 @@ def emit_cluster_plot(eigenvalues, partition: ClusterPartition, path) -> None:
     """Write plot data: one line per eigenvalue, 'index value cluster_id'.
 
     Indices and cluster ids are 1-based; eigenvalues outside every cluster
-    (trailing zeros) get cluster id 0.
+    (trailing zeros) get cluster id 0.  The partition's clusters must cover
+    exactly the nonzero eigenvalues, as `g_partition` of them does.
     """
-    partition_stats(partition, eigenvalues)  # raises if inconsistent
     lam = np.asarray(eigenvalues, dtype=float)
+    covered = sum(partition.sizes)
+    if not np.array_equal(lam > 0.0, np.arange(lam.size) < covered):
+        raise ParameterError("partition does not cover the nonzero eigenvalues")
     ids = np.zeros(lam.size, dtype=int)
-    for k, cluster in enumerate(partition.clusters, start=1):
-        for i in cluster:
-            ids[i] = k
+    ids[:covered] = np.repeat(np.arange(1, partition.vartheta + 1), partition.sizes)
     with open(path, "w") as fh:
         for i, (val, cid) in enumerate(zip(lam, ids), start=1):
             fh.write(f"{i} {format(val, '.17g')} {cid}\n")
@@ -381,21 +382,20 @@ def bounds_report(cfg: ExperimentConfig) -> str:
 
     g_implied = max(1.0, (cfg.g_hat - 0.0001) / 1.01)
     part = g_partition(lam, g_implied)
-    stats = partition_stats(part, lam)
     lines.append(
-        f"[clustering]   g={stats.g_eff:g} chi={stats.chi:g} vartheta={stats.vartheta} "
+        f"[clustering]   g={part.g_eff:g} chi={part.chi:g} vartheta={part.vartheta} "
         f"sizes={part.sizes} (partition at g={g_implied:.6g})"
     )
     zeta2 = min(0.0001 / cfg.r**2, 0.01 / (cfg.r**2 * f))
     inp2 = BoundInputs(
         n=cfg.n, r=cfg.r, f=f, q=q, eta=datagen.ETA, zeta=zeta2,
-        r_k=min(part.sizes), g_plus=stats.g_eff, chi_plus=stats.chi,
-        vartheta=stats.vartheta,
+        r_k=min(part.sizes), g_plus=part.g_eff, chi_plus=part.chi,
+        vartheta=part.vartheta,
     )
     try:
         lines.append(f"[cluster-EVD]  zeta={zeta2:.6g}  alpha0={alpha0_cluster(inp2):.6g}  "
                      f"beta/alpha<={beta_frac_cluster(inp2):.6g}  "
-                     f"samples={stats.vartheta}*alpha0")
+                     f"samples={part.vartheta}*alpha0")
     except DdnPcaError as exc:
         lines.append(f"[cluster-EVD]  not applicable: {exc}")
     return "\n".join(lines)
@@ -414,7 +414,7 @@ def block_sum_bound_sweep(draws: int = 1000, seed: int = 0, n: int = 500, alpha:
     for _ in range(draws):
         start = int(rng.integers(0, n))
         schedule = datagen.generate_support_schedule(
-            n, alpha, s, rho, beta_tilde, start=start, wrap=True
+            n, alpha, s, rho, beta_tilde, start=start
         )
         # One (alpha, s, s) draw: the stream of one (s, s) draw per frame.
         B = rng.standard_normal((alpha, s, s))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ParameterError, ScheduleError
+from .errors import DimensionError, ParameterError, ScheduleError
 from .linalg import _fix_signs, check_basis, spectral_norm
 
 # Boundedness factor of the coefficient law: a_j^2 <= ETA * lam_j for every
@@ -16,12 +16,14 @@ from .linalg import _fix_signs, check_basis, spectral_norm
 ETA = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalModel:
     """Low-rank signal generator: columns ell_t = P @ a_t.
 
     P is an n x r basis matrix, lam the non-increasing positive variance
     profile of the coefficients, which are uniform (boundedness factor ETA).
+    Models compare and hash by identity (an array field has no single truth
+    value).
     """
 
     P: np.ndarray
@@ -191,16 +193,14 @@ def generate_support_schedule(
     rho: int,
     beta_tilde: int,
     start: int = 0,
-    wrap: bool = False,
 ) -> SupportSchedule:
     """Constant-velocity support: a contiguous block of size s starting at
-    `start`, shifted right by ceil(s/rho) every beta_tilde frames.
+    `start`, shifted right by ceil(s/rho) every beta_tilde frames, modulo n.
 
-    Without `wrap` the motion must fit inside [0, n); the minimal ambient
-    dimension is start + s + ceil(s/rho)*ceil(alpha/beta_tilde).  With
-    `wrap` the block moves modulo n, which is the only way long windows fit
-    in small frames; construction then relies on the cover-bound form of
-    the validation (see SupportSchedule).
+    A motion that fits inside [0, n) never wraps.  One that does not fit
+    wraps around, which is the only way long windows fit in small frames;
+    construction then relies on the cover-bound form of the validation (see
+    SupportSchedule), which raises ScheduleError when even that fails.
     """
     if min(alpha, s, rho, beta_tilde) < 1:
         raise ParameterError("alpha, s, rho, beta_tilde must all be positive")
@@ -209,16 +209,7 @@ def generate_support_schedule(
     if s > n:
         raise ParameterError(f"s={s} exceeds n={n}")
     step = math.ceil(s / rho)
-    if not wrap:
-        required = start + s + step * math.ceil(alpha / beta_tilde)
-        if required > n:
-            raise CapacityError(
-                f"support motion does not fit: minimal n is {required}, got {n} "
-                "(pass wrap=True for cyclic motion)"
-            )
-    S = start + step * (np.arange(alpha) // beta_tilde)[:, None] + np.arange(s)
-    if wrap:
-        S %= n
+    S = (start + step * (np.arange(alpha) // beta_tilde)[:, None] + np.arange(s)) % n
     return SupportSchedule(n=n, supports=S, rho=rho, beta_tilde=beta_tilde)
 
 

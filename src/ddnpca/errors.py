@@ -37,10 +37,6 @@ class ScheduleError(DdnPcaError):
     """A support schedule violates its structural conditions."""
 
 
-class CapacityError(ScheduleError):
-    """The ambient dimension is too small for the requested support motion."""
-
-
 class EmptySubspaceError(DdnPcaError):
     """No eigenvalue exceeded the retention threshold."""
 

@@ -19,32 +19,11 @@ from .errors import (
 from .linalg import ACCUMULATED_BASIS_TOL, _fix_signs, check_basis, empirical_covariance, sym_eig
 
 
-@dataclass(frozen=True)
-class EvdConfig:
-    thresh: float  # eigenvalue retention threshold, > 0
-
-    def __post_init__(self):
-        if self.thresh <= 0:
-            raise ParameterError(f"thresh must be positive, got {self.thresh}")
-
-
-@dataclass(frozen=True)
-class ClusterEvdConfig:
-    alpha: int      # batch length per cluster
-    g_hat: float    # within-cluster eigenvalue ratio cap
-    thresh: float   # zero threshold for the stop test
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.g_hat < 1:
-            raise ParameterError(f"g_hat must be >= 1, got {self.g_hat}")
-        if self.thresh <= 0:
-            raise ParameterError(f"thresh must be positive, got {self.thresh}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterEvdResult:
+    """Output of `cluster_evd`; compares and hashes by identity (an array
+    field has no single truth value)."""
+
     P_hat: np.ndarray
     cluster_sizes: tuple[int, ...]
     vartheta_hat: int
@@ -56,7 +35,7 @@ class ClusterEvdResult:
         check_basis(self.P_hat, tol=ACCUMULATED_BASIS_TOL, name="estimated basis")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockEig:
     """Eigendecomposition of Psi (YY'/alpha) Psi for one n x alpha block Y,
     where Psi = I - GG' removes the directions G already found.
@@ -65,7 +44,8 @@ class BlockEig:
     factorized instead: it has the same nonzero eigenvalues, and an
     eigenvector u of ZZ'/alpha is recovered from one v of Z'Z/alpha as
     u = Z v / sqrt(alpha w).  `leading` lifts only the columns a caller asks
-    for.  Z itself is not kept; Z v is formed as Psi (Y v).
+    for.  Z itself is not kept; Z v is formed as Psi (Y v).  Compares and
+    hashes by identity (an array field has no single truth value).
     """
 
     eigenvalues: np.ndarray  # shape (n,), non-increasing; exact zeros past rank alpha
@@ -133,26 +113,15 @@ def _alpha_gram(Z: np.ndarray) -> np.ndarray:
     return (K + K.T) / 2.0
 
 
-def _check_source(eig: BlockEig, Y) -> None:
-    if eig.G is not None or (eig.block is not Y and not np.array_equal(eig.block, Y)):
-        raise ParameterError("the precomputed decomposition is not of this undeflated block")
-
-
-def simple_evd(Y, cfg: EvdConfig, eig: BlockEig | None = None):
-    """Eigenvectors of the empirical covariance with eigenvalues strictly
-    above cfg.thresh, ordered by descending eigenvalue.
-
-    `eig`, when given, is `block_eig(Y)` computed by the caller; it is used
-    instead of decomposing Y again.
-    """
-    if eig is None:
-        eig = block_eig(Y)
-    else:
-        _check_source(eig, Y)
-    count = int(np.count_nonzero(eig.eigenvalues > cfg.thresh))
+def simple_evd(eig: BlockEig, thresh: float) -> np.ndarray:
+    """Eigenvectors of a block's covariance with eigenvalues strictly above
+    thresh, ordered by descending eigenvalue; `eig` is `block_eig(Y)`."""
+    if thresh <= 0:
+        raise ParameterError(f"thresh must be positive, got {thresh}")
+    count = int(np.count_nonzero(eig.eigenvalues > thresh))
     if count == 0:
         raise EmptySubspaceError(
-            f"no eigenvalue above thresh={cfg.thresh} (largest is {eig.eigenvalues[0]:.3e})"
+            f"no eigenvalue above thresh={thresh} (largest is {eig.eigenvalues[0]:.3e})"
         )
     return eig.leading(count)
 
@@ -186,34 +155,44 @@ def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
     return r_hat, stop
 
 
-def cluster_evd(y_blocks, cfg: ClusterEvdConfig, max_clusters: int | None = None,
-                first_eig: BlockEig | None = None) -> ClusterEvdResult:
+def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
+                max_clusters: int | None = None) -> ClusterEvdResult:
     """Cluster-by-cluster subspace estimation over a stream of n x alpha blocks.
 
-    Each iteration deflates the directions found so far, eigendecomposes the
-    deflated covariance of the next block (`block_eig`), detects the leading
-    cluster's width, and keeps that many eigenvectors.  The loop ends when
-    the first eigenvalue past the detected cluster drops below cfg.thresh.
-
-    `first_eig`, when given, is `block_eig` of the stream's first block,
-    computed by the caller (the harness shares it with `simple_evd`); the
-    first block is still drawn from the stream and checked.
+    `first` is `block_eig` of the first block, which fixes n and alpha;
+    `blocks` yields the later blocks, drawn one at a time and only when
+    needed.  Each iteration detects the leading cluster's width in the
+    current block's deflated spectrum and keeps that many eigenvectors.  The
+    loop ends when the first eigenvalue past the detected cluster drops
+    below thresh; otherwise the next block is deflated by every direction
+    found so far and eigendecomposed (`block_eig`).
 
     max_clusters is a safety cap (defaults to the ambient dimension); hitting
     it raises NonTerminationError rather than looping on degenerate data.
     """
+    if thresh <= 0:
+        raise ParameterError(f"thresh must be positive, got {thresh}")
     if max_clusters is not None and max_clusters < 1:
         raise ParameterError("max_clusters must be positive")
-    blocks = iter(y_blocks)
+    if first.G is not None:
+        raise ParameterError("the first block's decomposition must not be deflated")
+    n, alpha = first.block.shape
+    cap = n if max_clusters is None else max_clusters
+    blocks = iter(blocks)
+    eig = first
     G: np.ndarray | None = None
     sizes: list[int] = []
     spectra: list[np.ndarray] = []
-    n = None
-    cap = max_clusters
-    k = 0
     while True:
-        k += 1
-        if cap is not None and k > cap:
+        r_hat, stop = detect_cluster(eig.eigenvalues, g_hat, thresh)
+        Gk = eig.leading(r_hat)
+        G = Gk if G is None else np.hstack([G, Gk])
+        sizes.append(r_hat)
+        spectra.append(eig.eigenvalues.copy())
+        if stop:
+            break
+        k = len(sizes) + 1  # the next cluster, and the block it is found in
+        if k > cap:
             raise NonTerminationError(
                 f"stop flag not reached within max_clusters={cap} blocks"
             )
@@ -225,31 +204,15 @@ def cluster_evd(y_blocks, cfg: ClusterEvdConfig, max_clusters: int | None = None
             ) from None
         if Y.ndim != 2:
             raise DimensionError("blocks must be 2-D arrays")
-        if n is None:
-            n = Y.shape[0]
-            if cap is None:
-                cap = n
         if Y.shape[0] != n:
             raise DimensionError(f"block {k} has {Y.shape[0]} rows, expected {n}")
-        if Y.shape[1] < cfg.alpha:
+        if Y.shape[1] < alpha:
             raise InsufficientDataError(
-                f"block {k} has {Y.shape[1]} columns, expected a full {cfg.alpha}"
+                f"block {k} has {Y.shape[1]} columns, expected a full {alpha}"
             )
-        if Y.shape[1] != cfg.alpha:
-            raise DimensionError(f"block {k} has {Y.shape[1]} columns, expected {cfg.alpha}")
-
-        if k == 1 and first_eig is not None:
-            _check_source(first_eig, Y)
-            eig = first_eig
-        else:
-            eig = block_eig(Y, G)
-        r_hat, stop = detect_cluster(eig.eigenvalues, cfg.g_hat, cfg.thresh)
-        Gk = eig.leading(r_hat)
-        G = Gk if G is None else np.hstack([G, Gk])
-        sizes.append(r_hat)
-        spectra.append(eig.eigenvalues.copy())
-        if stop:
-            break
+        if Y.shape[1] != alpha:
+            raise DimensionError(f"block {k} has {Y.shape[1]} columns, expected {alpha}")
+        eig = block_eig(Y, G)
     return ClusterEvdResult(
         P_hat=G,
         cluster_sizes=tuple(sizes),

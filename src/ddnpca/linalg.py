@@ -40,9 +40,12 @@ def check_basis(Q, tol: float = BASIS_TOL, name: str = "basis") -> np.ndarray:
     return Q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues sorted non-increasing."""
+    """Full symmetric eigendecomposition, eigenvalues sorted non-increasing.
+
+    Compares and hashes by identity (an array field has no single truth value).
+    """
 
     eigenvalues: np.ndarray   # shape (n,), descending
     eigenvectors: np.ndarray  # shape (n, n), column i pairs with eigenvalues[i]
@@ -77,15 +80,6 @@ def sym_eig(M) -> EigenDecomposition:
     w, V = np.linalg.eigh(S)
     order = np.arange(n - 1, -1, -1)
     return EigenDecomposition(eigenvalues=w[order], eigenvectors=_fix_signs(V[:, order]))
-
-
-def top_eigenvectors(M, r: int) -> np.ndarray:
-    """Basis matrix for the span of the r largest-eigenvalue eigenvectors."""
-    M = _as_matrix(M)
-    n = M.shape[0]
-    if not 1 <= r <= n:
-        raise DimensionError(f"r={r} out of range for a {n}x{n} matrix")
-    return sym_eig(M).eigenvectors[:, :r]
 
 
 def spectral_norm(M) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,40 +12,27 @@ from .errors import OrderError, ParameterError
 
 @dataclass(frozen=True)
 class ClusterPartition:
-    """Ordered partition of the nonzero-eigenvalue indices into contiguous clusters.
+    """Ordered partition of the nonzero eigenvalues of a non-increasing
+    spectrum into contiguous clusters, with its statistics.
 
-    Indices are 0-based.  Cluster k spans clusters[k] = (start, ..., end) and
-    satisfies lam_top[k] / lam_bot[k] <= g.
+    Cluster k holds the sizes[k] indices that follow those of clusters
+    0..k-1 (0-based); its top over its bottom eigenvalue is at most g.
     """
 
-    clusters: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
-    lam_top: tuple[float, ...]
-    lam_bot: tuple[float, ...]
-    g: float
+    g: float      # the ratio cap the partition was built with
+    g_eff: float  # max within-cluster ratio top/bottom
+    chi: float    # max ratio of one cluster's top to the previous cluster's bottom; 0 for one
+    f: float      # overall condition number over the nonzero eigenvalues
 
     @property
     def vartheta(self) -> int:
-        return len(self.clusters)
+        return len(self.sizes)
 
-
-@dataclass(frozen=True)
-class ClusterStats:
-    vartheta: int    # number of clusters
-    g_eff: float     # max within-cluster ratio lam_top/lam_bot
-    chi: float       # max ratio of one cluster's top to the previous cluster's bottom
-    f: float         # overall condition number over the nonzero eigenvalues
-
-
-def _validated_eigs(eigenvalues) -> np.ndarray:
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ParameterError("eigenvalues must be a non-empty 1-D sequence")
-    if np.any(lam < 0):
-        raise ParameterError("eigenvalues must be non-negative")
-    if np.any(np.diff(lam) > 0):
-        raise OrderError("eigenvalues must be sorted non-increasing")
-    return lam
+    @property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        ends = itertools.accumulate(self.sizes)
+        return tuple(tuple(range(end - size, end)) for size, end in zip(self.sizes, ends))
 
 
 def g_partition(eigenvalues, g: float) -> ClusterPartition:
@@ -55,14 +43,21 @@ def g_partition(eigenvalues, g: float) -> ClusterPartition:
     violation.  Trailing zero eigenvalues are excluded.  Comparisons are
     exact floating point.
     """
-    lam = _validated_eigs(eigenvalues)
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ParameterError("eigenvalues must be a non-empty 1-D sequence")
+    if np.any(lam < 0):
+        raise ParameterError("eigenvalues must be non-negative")
+    if np.any(np.diff(lam) > 0):
+        raise OrderError("eigenvalues must be sorted non-increasing")
     if g < 1.0:
         raise ParameterError(f"g must be >= 1, got {g}")
     nz = int(np.count_nonzero(lam > 0.0))
     if nz == 0:
         raise ParameterError("all eigenvalues are zero; nothing to partition")
 
-    clusters: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+    g_eff, chi = 1.0, 0.0
     start = 0
     while start < nz:
         head = lam[start]
@@ -71,75 +66,13 @@ def g_partition(eigenvalues, g: float) -> ClusterPartition:
         # eigenvalue ratio) must resolve exactly
         while end < nz and head / lam[end] <= g:
             end += 1
-        clusters.append(tuple(range(start, end)))
+        sizes.append(end - start)
+        g_eff = max(g_eff, head / lam[end - 1])
+        if start > 0:
+            chi = max(chi, head / lam[start - 1])
         start = end
 
     return ClusterPartition(
-        clusters=tuple(clusters),
-        sizes=tuple(len(c) for c in clusters),
-        lam_top=tuple(float(lam[c[0]]) for c in clusters),
-        lam_bot=tuple(float(lam[c[-1]]) for c in clusters),
-        g=float(g),
+        sizes=tuple(sizes), g=float(g), g_eff=float(g_eff), chi=float(chi),
+        f=float(lam[0] / lam[nz - 1]),
     )
-
-
-def partition_stats(partition: ClusterPartition, eigenvalues) -> ClusterStats:
-    """Cluster statistics (vartheta, g_eff, chi, f) for a partition.
-
-    The partition must be consistent with the eigenvalues it was built from.
-    """
-    lam = _validated_eigs(eigenvalues)
-    nz = int(np.count_nonzero(lam > 0.0))
-    flat = [i for c in partition.clusters for i in c]
-    if flat != list(range(nz)):
-        raise ParameterError("partition does not cover the nonzero eigenvalue indices")
-    for k, c in enumerate(partition.clusters):
-        top, bot = lam[c[0]], lam[c[-1]]
-        if top != partition.lam_top[k] or bot != partition.lam_bot[k]:
-            raise ParameterError(f"cluster {k} extremes disagree with the eigenvalues")
-        if top / bot > partition.g:
-            raise ParameterError(f"cluster {k} violates the ratio bound g={partition.g}")
-
-    g_eff = max(t / b for t, b in zip(partition.lam_top, partition.lam_bot))
-    if partition.vartheta == 1:
-        chi = 0.0
-    else:
-        chi = max(
-            partition.lam_top[k + 1] / partition.lam_bot[k]
-            for k in range(partition.vartheta - 1)
-        )
-    f = float(lam[0] / lam[nz - 1])
-    return ClusterStats(vartheta=partition.vartheta, g_eff=float(g_eff), chi=float(chi), f=f)
-
-
-def check_clustering(eigenvalues, g_plus: float, chi_plus: float):
-    """Search for the smallest g <= g_plus whose partition has chi <= chi_plus.
-
-    The partition map is piecewise-constant in g and changes only at the
-    pairwise eigenvalue ratios, so the search runs over that finite candidate
-    set in increasing order.  Returns (holds, witness_g, stats); witness_g and
-    stats are None when no admissible g exists.
-    """
-    lam = _validated_eigs(eigenvalues)
-    if g_plus < 1.0:
-        raise ParameterError(f"g_plus must be >= 1, got {g_plus}")
-    if chi_plus < 0.0:
-        raise ParameterError(f"chi_plus must be >= 0, got {chi_plus}")
-    nz = lam[lam > 0.0]
-    if nz.size == 0:
-        raise ParameterError("all eigenvalues are zero")
-
-    candidates = sorted(
-        {
-            nz[i] / nz[j]
-            for i in range(nz.size)
-            for j in range(i, nz.size)
-            if nz[i] / nz[j] <= g_plus
-        }
-    )
-    for g in candidates:
-        part = g_partition(nz, g)
-        stats = partition_stats(part, nz)
-        if stats.chi <= chi_plus:
-            return True, float(g), stats
-    return False, None, None

@@ -17,7 +17,6 @@ from .linalg import (
     spectral_norm,
     subspace_error,
     sym_eig,
-    top_eigenvectors,
 )
 
 C_SIMPLE = 32.0 / 0.01**2          # 320000
@@ -144,6 +143,8 @@ def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
     if A.shape != (schedule.alpha, schedule.s, schedule.s):
         raise DimensionError(f"need one s x s matrix per frame, (alpha, s, s) = "
                              f"{(schedule.alpha, schedule.s, schedule.s)}; got {A.shape}")
+    if not np.isfinite(A).all():
+        raise DimensionError("the per-frame matrices contain non-finite entries")
     At = np.swapaxes(A, 1, 2)
     asym = np.abs(A - At).max(axis=(1, 2))
     scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
@@ -207,5 +208,5 @@ def sin_theta_gap_check(A_full, H, r: int) -> tuple[float, float]:
     h_norm = spectral_norm(H)
     bound = sin_theta_bound(ed.eigenvalues[r - 1], ed.eigenvalues[r], h_norm)
     E = ed.eigenvectors[:, :r]
-    measured = subspace_error(top_eigenvectors(np.asarray(A_full) + H, r), E)
+    measured = subspace_error(sym_eig(np.asarray(A_full) + H).eigenvectors[:, :r], E)
     return bound, measured

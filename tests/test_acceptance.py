@@ -22,9 +22,9 @@ from ddnpca.bench import (
 from ddnpca.cli import main as cli_main
 from ddnpca.datagen import SignalModel, SupportSchedule, sample_coefficients, sparse_basis
 from ddnpca.errors import ScheduleError
-from ddnpca.estimators import ClusterEvdConfig, cluster_evd
+from ddnpca.estimators import block_eig, cluster_evd
 from ddnpca.linalg import spectral_norm, sym_eig
-from ddnpca.spectrum import g_partition, partition_stats
+from ddnpca.spectrum import g_partition
 from ddnpca.theory import (
     BoundInputs,
     alpha0_cluster,
@@ -91,11 +91,8 @@ def test_criterion_2_cluster_detection(expt1_runs):
     hits = 0
     for i in range(cfg.trials):
         model, stream, thresh, _ = trial_components(cfg, i)
-        res = cluster_evd(
-            stream,
-            ClusterEvdConfig(alpha=cfg.alpha, g_hat=cfg.g_hat, thresh=thresh),
-            max_clusters=cfg.r,
-        )
+        res = cluster_evd(block_eig(next(stream)), stream, cfg.g_hat, thresh,
+                          max_clusters=cfg.r)
         if res.vartheta_hat == 2 and res.cluster_sizes == (3, 2):
             hits += 1
     frac = hits / cfg.trials
@@ -115,17 +112,16 @@ def test_criterion_3_noiseless_exactness(tmp_path):
 def test_criterion_4_partition_exactness():
     lam = [100.0, 100.0, 100.0, 0.1, 0.1]
     part = g_partition(lam, 3.0)
-    stats = partition_stats(part, lam)
     ok = (
         part.clusters == ((0, 1, 2), (3, 4))
         and part.sizes == (3, 2)
-        and stats.vartheta == 2
-        and stats.g_eff == 1.0
-        and math.isclose(stats.chi, 0.001, rel_tol=1e-12)
-        and math.isclose(stats.f, 1000.0, rel_tol=1e-12)
+        and part.vartheta == 2
+        and part.g_eff == 1.0
+        and math.isclose(part.chi, 0.001, rel_tol=1e-12)
+        and math.isclose(part.f, 1000.0, rel_tol=1e-12)
     )
     report(4, "partition exactness", ok,
-           f"sizes={part.sizes}, g_eff={stats.g_eff}, chi={stats.chi}, f={stats.f}")
+           f"sizes={part.sizes}, g_eff={part.g_eff}, chi={part.chi}, f={part.f}")
 
 
 def test_criterion_5_block_sum_bound_oracle():

@@ -22,7 +22,7 @@ from ddnpca.datagen import (
     sparse_basis,
     verify_schedule_conditions,
 )
-from ddnpca.errors import CapacityError, DimensionError, ParameterError, ScheduleError
+from ddnpca.errors import DimensionError, ParameterError, ScheduleError
 from ddnpca.linalg import subspace_error
 
 
@@ -80,12 +80,8 @@ class TestGenerateSupportSchedule:
         sched = generate_support_schedule(10, 1, 3, 3, 1, start=0)
         assert sched.supports.tolist() == [[0, 1, 2]]
 
-    def test_capacity_error_names_minimum(self):
-        with pytest.raises(CapacityError, match="905"):
-            generate_support_schedule(20, 300, 5, 2, 1)
-
     def test_expt1_window_wraps(self):
-        sched = generate_support_schedule(500, 300, 5, 2, 1, start=0, wrap=True)
+        sched = generate_support_schedule(500, 300, 5, 2, 1, start=0)
         assert sched.alpha == 300
         assert sched.supports.shape == (300, 5)
         # shifted by ceil(5/2) = 3 each frame, disjoint two frames apart
@@ -214,7 +210,7 @@ class TestChannels:
 class TestGenerateDataset:
     def test_missing_channel_invariants(self):
         model = expt1_model()
-        sched = generate_support_schedule(500, 50, 5, 2, 1, wrap=True)
+        sched = generate_support_schedule(500, 50, 5, 2, 1)
         rng = np.random.default_rng(2)
         Y, L, _, q = generate_dataset(model, MissingNoiseModel(sched), 50, rng)
         for t in range(50):
@@ -225,7 +221,7 @@ class TestGenerateDataset:
 
     def test_snr_ratio_bounded_by_q_measured(self):
         model = expt1_model()
-        sched = generate_support_schedule(500, 100, 5, 2, 1, wrap=True)
+        sched = generate_support_schedule(500, 100, 5, 2, 1)
         rng = np.random.default_rng(3)
         Y, L, _, q = generate_dataset(model, SddcNoiseModel(0.01, sched), 100, rng)
         W = Y - L
@@ -245,7 +241,7 @@ class TestGenerateDataset:
 
     def test_reproducible(self):
         model = expt1_model()
-        sched = generate_support_schedule(500, 40, 5, 2, 1, wrap=True)
+        sched = generate_support_schedule(500, 40, 5, 2, 1)
         out = []
         for _ in range(2):
             rng = np.random.default_rng(99)
@@ -353,7 +349,7 @@ class TestBatchedAgainstPerFrame:
     @pytest.mark.parametrize("channel", ["missing", "sddc"])
     def test_expt1_schedule(self, channel):
         model = expt1_model()
-        sched = generate_support_schedule(500, 300, 5, 2, 1, start=497, wrap=True)
+        sched = generate_support_schedule(500, 300, 5, 2, 1, start=497)
         noise = MissingNoiseModel(sched) if channel == "missing" else SddcNoiseModel(0.01, sched)
         assert_matches_per_frame(model, noise, 300, 42)
 
@@ -456,21 +452,17 @@ class TestScheduleAgainstBruteForce:
         assert sched.supports.tolist() == [[1, 3], [1, 3], [4, 5]]
 
     @given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 6), st.integers(1, 4),
-           st.integers(1, 5), st.integers(0, 39), st.booleans())
+           st.integers(1, 5), st.integers(0, 39))
     @settings(max_examples=200, deadline=None)
-    def test_generated_schedule_matches_formula(self, n, alpha, s, rho, beta_tilde, start, wrap):
+    def test_generated_schedule_matches_formula(self, n, alpha, s, rho, beta_tilde, start):
         assume(start < n and s <= n)
         step = math.ceil(s / rho)
         expected = []
         for t in range(alpha):
             p = start + step * (t // beta_tilde)
-            expected.append(tuple(sorted((p + j) % n for j in range(s))) if wrap
-                            else tuple(range(p, p + s)))
+            expected.append(tuple(sorted((p + j) % n for j in range(s))))
         try:
-            sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start, wrap=wrap)
-        except CapacityError:
-            assert not wrap and start + s + step * math.ceil(alpha / beta_tilde) > n
-            return
+            sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start)
         except ScheduleError as exc:
             with pytest.raises(ScheduleError) as direct:
                 SupportSchedule(n=n, supports=expected, rho=rho, beta_tilde=beta_tilde)

@@ -17,16 +17,17 @@ from ddnpca.errors import (
     OrderError,
     ParameterError,
 )
+from ddnpca.datagen import SignalModel, sparse_basis
 from ddnpca.estimators import (
-    ClusterEvdConfig,
-    EvdConfig,
+    BlockEig,
+    ClusterEvdResult,
     block_eig,
     cluster_evd,
     deflate,
     detect_cluster,
     simple_evd,
 )
-from ddnpca.linalg import empirical_covariance, subspace_error, sym_eig
+from ddnpca.linalg import EigenDecomposition, empirical_covariance, subspace_error, sym_eig
 from ddnpca.spectrum import g_partition
 
 
@@ -47,28 +48,28 @@ class TestSimpleEvd:
     def test_noiseless_rank_one(self):
         e1 = np.eye(4)[:, :1]
         Y = e1 @ np.array([[3.0, -2.0, 1.0, 4.0, -3.0]])  # eigenvalue ~ 7.8
-        P = simple_evd(Y, EvdConfig(thresh=0.95))
+        P = simple_evd(block_eig(Y), 0.95)
         assert P.shape == (4, 1)
         assert subspace_error(P, e1) <= 1e-9
 
     def test_thresh_above_top_eigenvalue(self):
         Y = np.eye(3)[:, :1] * 0.1
         with pytest.raises(EmptySubspaceError):
-            simple_evd(Y, EvdConfig(thresh=10.0))
+            simple_evd(block_eig(Y), 10.0)
 
     def test_retention_is_strict(self):
         # eigenvalues exactly (2, 1, 0); thresh at 1 keeps only the 2
         Y = np.diag([np.sqrt(2.0) * np.sqrt(3), np.sqrt(3.0), 0.0])[:, :3]
         C = empirical_covariance(Y)
         w = sym_eig(C).eigenvalues
-        P = simple_evd(Y, EvdConfig(thresh=float(w[1])))
+        P = simple_evd(block_eig(Y), float(w[1]))
         assert P.shape[1] == 1
 
     def test_descending_order(self):
         rng = np.random.default_rng(0)
         V = random_orthonormal(5, 5, rng)
         Y = exact_covariance_block(V, [9.0, 5.0, 2.0, 1e-12, 1e-12])
-        P = simple_evd(Y, EvdConfig(thresh=0.5))
+        P = simple_evd(block_eig(Y), 0.5)
         assert P.shape[1] == 3
         assert subspace_error(P, V[:, :3]) <= 1e-8
 
@@ -183,8 +184,8 @@ class TestBlockEig:
         tracemalloc.start()
         try:
             block_eig(Y, G).leading(3)
-            simple_evd(Y, EvdConfig(thresh=0.01))
-            cluster_evd([Y, Y], ClusterEvdConfig(alpha=alpha, g_hat=1e6, thresh=1e-3))
+            simple_evd(block_eig(Y), 0.01)
+            cluster_evd(block_eig(Y), [Y], 1e6, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -207,16 +208,11 @@ class TestBlockEig:
             eig.leading(2)
 
     def test_shared_decomposition_must_match_block(self):
+        # cluster_evd starts from the first block undeflated
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((6, 3))
-        for other in (block_eig(Y + 1.0), block_eig(Y, random_orthonormal(6, 1, rng))):
-            with pytest.raises(ParameterError):
-                simple_evd(Y, EvdConfig(thresh=0.01), eig=other)
-            with pytest.raises(ParameterError):
-                cluster_evd([Y], ClusterEvdConfig(alpha=3, g_hat=2.0, thresh=0.01),
-                            first_eig=other)
-        P = simple_evd(Y.copy(), EvdConfig(thresh=0.01), eig=block_eig(Y))
-        assert P.shape[0] == 6
+        with pytest.raises(ParameterError):
+            cluster_evd(block_eig(Y, random_orthonormal(6, 1, rng)), [], 2.0, 0.01)
 
 
 class TestDetectCluster:
@@ -259,7 +255,7 @@ class TestClusterEvd:
     def test_noiseless_rank_one(self):
         e1 = np.eye(4)[:, :1]
         Y = e1 @ np.array([[3.0, -2.0, 1.0]])
-        res = cluster_evd([Y], ClusterEvdConfig(alpha=3, g_hat=2.0, thresh=0.5))
+        res = cluster_evd(block_eig(Y), [], 2.0, 0.5)
         assert res.vartheta_hat == 1
         assert subspace_error(res.P_hat, e1) <= 1e-9
 
@@ -270,9 +266,7 @@ class TestClusterEvd:
         V = random_orthonormal(4, 4, rng)
         lam = [8.0, 4.4, 2.0, 1.2]
         Y = exact_covariance_block(V, lam)
-        res = cluster_evd(
-            iter([Y, Y]), ClusterEvdConfig(alpha=4, g_hat=2.4, thresh=0.5)
-        )
+        res = cluster_evd(block_eig(Y), iter([Y]), 2.4, 0.5)
         assert res.cluster_sizes == tuple(g_partition(lam, 2.4).sizes)
         assert res.cluster_sizes == (2, 2)
         assert res.vartheta_hat == 2
@@ -283,8 +277,8 @@ class TestClusterEvd:
         V = random_orthonormal(6, 6, rng)
         lam = [10.0, 6.0, 4.0, 1e-14, 1e-14, 0.0]
         Y = exact_covariance_block(V, lam)
-        res = cluster_evd([Y], ClusterEvdConfig(alpha=6, g_hat=1e6, thresh=0.5))
-        P_simple = simple_evd(Y, EvdConfig(thresh=0.5))
+        res = cluster_evd(block_eig(Y), [], 1e6, 0.5)
+        P_simple = simple_evd(block_eig(Y), 0.5)
         assert res.vartheta_hat == 1
         assert res.P_hat.shape == P_simple.shape
         assert subspace_error(res.P_hat, P_simple) <= 1e-9
@@ -299,10 +293,9 @@ class TestClusterEvd:
             blocks = [
                 P @ ((2.0 * rng.random((r, 30)) - 1.0) * half[:, None]) for _ in range(r)
             ]
-            cfg = ClusterEvdConfig(alpha=30, g_hat=2.0, thresh=0.1)
-            res = cluster_evd(iter(blocks), cfg)
+            res = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
             assert subspace_error(res.P_hat, P) <= 1e-8
-            P_one = simple_evd(blocks[0], EvdConfig(thresh=0.1))
+            P_one = simple_evd(block_eig(blocks[0]), 0.1)
             assert subspace_error(P_one, P) <= 1e-8
 
     def test_output_orthonormal_and_telescoping(self):
@@ -310,9 +303,7 @@ class TestClusterEvd:
         V = random_orthonormal(5, 5, rng)
         lam = [9.0, 3.0, 1.0, 0.3, 0.1]
         Y = exact_covariance_block(V, lam)
-        res = cluster_evd(
-            iter([Y] * 5), ClusterEvdConfig(alpha=5, g_hat=1.1, thresh=0.05)
-        )
+        res = cluster_evd(block_eig(Y), iter([Y] * 4), 1.1, 0.05)
         P = res.P_hat
         assert np.max(np.abs(P.T @ P - np.eye(P.shape[1]))) <= 1e-8
         start = 0
@@ -332,37 +323,48 @@ class TestClusterEvd:
                 served["cols"] += Y.shape[1]
                 yield Y
 
-        cfg = ClusterEvdConfig(alpha=4, g_hat=2.4, thresh=0.5)
-        res = cluster_evd(stream(), cfg)
-        assert served["cols"] == res.vartheta_hat * cfg.alpha
+        blocks = stream()
+        res = cluster_evd(block_eig(next(blocks)), blocks, 2.4, 0.5)
+        assert served["cols"] == res.vartheta_hat * Y.shape[1]
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(6)
         V = random_orthonormal(4, 4, rng)
         Y = exact_covariance_block(V, [8.0, 4.4, 2.0, 1.2])
         with pytest.raises(InsufficientDataError):
-            cluster_evd([Y], ClusterEvdConfig(alpha=4, g_hat=2.4, thresh=0.5))
+            cluster_evd(block_eig(Y), [], 2.4, 0.5)
 
     def test_partial_block_rejected(self):
+        # the first block (alpha = 2, eigenvalues 4.5, 2) does not stop; the
+        # second is one column short
+        first = np.eye(4)[:, :2] * [3.0, 2.0]
         Y = np.eye(4)[:, :1] * 3.0
         with pytest.raises(InsufficientDataError):
-            cluster_evd([Y], ClusterEvdConfig(alpha=2, g_hat=2.0, thresh=0.5))
+            cluster_evd(block_eig(first), [Y], 2.0, 0.5)
 
     def test_non_termination_cap(self):
         rng = np.random.default_rng(7)
         V = random_orthonormal(4, 4, rng)
         Y = exact_covariance_block(V, [8.0, 4.4, 2.0, 1.2])
         with pytest.raises(NonTerminationError):
-            cluster_evd(
-                iter([Y] * 10),
-                ClusterEvdConfig(alpha=4, g_hat=1.0, thresh=1e-18),
-                max_clusters=2,
-            )
+            cluster_evd(block_eig(Y), iter([Y] * 9), 1.0, 1e-18, max_clusters=2)
+
+    def test_parameters_rejected(self):
+        eig = block_eig(np.eye(3) * 2.0)
+        for thresh in (0.0, -1.0):
+            with pytest.raises(ParameterError):
+                simple_evd(eig, thresh)
+            with pytest.raises(ParameterError):
+                cluster_evd(eig, [], 2.0, thresh)
+        with pytest.raises(ParameterError):
+            cluster_evd(eig, [], 0.5, 0.5)
+        with pytest.raises(ParameterError):
+            cluster_evd(eig, [], 2.0, 0.5, max_clusters=0)
 
     def test_no_cluster_propagates(self):
         Y = np.eye(3)[:, :1] * 1e-6
         with pytest.raises(NoClusterError):
-            cluster_evd([np.column_stack([Y, Y, Y])], ClusterEvdConfig(alpha=3, g_hat=2.0, thresh=0.9))
+            cluster_evd(block_eig(np.column_stack([Y, Y, Y])), [], 2.0, 0.9)
 
     def test_reference_configuration_typical_trial(self):
         # moving-corruption data: two eigenvalue scales (100 and 0.1), batch
@@ -382,11 +384,11 @@ class TestClusterEvd:
         blocks = []
         for k in range(3):
             sched = generate_support_schedule(
-                500, 300, 5, 2, 1, start=(900 * k) % 500, wrap=True
+                500, 300, 5, 2, 1, start=(900 * k) % 500
             )
             Y, _, _, _ = generate_dataset(model, SddcNoiseModel(0.01, sched), 300, rng)
             blocks.append(Y)
-        res = cluster_evd(iter(blocks), ClusterEvdConfig(alpha=300, g_hat=3.0, thresh=0.095))
+        res = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 3.0, 0.095)
         assert res.vartheta_hat == 2
         assert res.cluster_sizes == (3, 2)
         assert subspace_error(res.P_hat, model.P) < 0.5
@@ -415,9 +417,9 @@ class TestClusterEvdProperties:
                 drawn.append(Y)
                 yield Y
 
-        cfg = ClusterEvdConfig(alpha=alpha, g_hat=g_hat, thresh=0.05)
+        blocks = stream()
         try:
-            res = cluster_evd(stream(), cfg, max_clusters=cap)
+            res = cluster_evd(block_eig(next(blocks)), blocks, g_hat, 0.05, max_clusters=cap)
         except (NonTerminationError, NoClusterError):
             assert len(drawn) <= cap
             return
@@ -426,3 +428,26 @@ class TestClusterEvdProperties:
         assert sum(res.cluster_sizes) == width
         assert res.vartheta_hat == len(res.cluster_sizes) == len(drawn) <= cap
         assert all(spec.shape == (n,) for spec in res.per_cluster_eigs)
+
+
+def _signal_model():
+    return SignalModel(P=sparse_basis(4, 2), lam=np.array([2.0, 1.0]))
+
+
+def _cluster_result():
+    return ClusterEvdResult(P_hat=np.eye(4)[:, :2], cluster_sizes=(2,), vartheta_hat=1,
+                            per_cluster_eigs=(np.ones(4),))
+
+
+@pytest.mark.parametrize("make", [
+    _signal_model,
+    lambda: block_eig(np.eye(4)[:, :3]),
+    _cluster_result,
+    lambda: sym_eig(np.diag([2.0, 1.0])),
+], ids=["SignalModel", "BlockEig", "ClusterEvdResult", "EigenDecomposition"])
+def test_array_dataclasses_compare_by_identity(make):
+    # equal but distinct arrays: field-wise == would have no truth value
+    a, b = make(), make()
+    assert type(a) in (SignalModel, BlockEig, ClusterEvdResult, EigenDecomposition)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

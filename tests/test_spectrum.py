@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddnpca.errors import OrderError, ParameterError
-from ddnpca.spectrum import check_clustering, g_partition, partition_stats
+from ddnpca.spectrum import g_partition
 
 EXPT1_SPECTRUM = [100.0, 100.0, 100.0, 0.1, 0.1]
 
@@ -32,8 +32,6 @@ class TestGPartition:
         # 8/4 = 2 <= 2, 8/2 = 4 > 2 closes the first cluster; 2/1 = 2 <= 2
         part = g_partition([8.0, 4.0, 2.0, 1.0], 2.0)
         assert part.clusters == ((0, 1), (2, 3))
-        assert part.lam_top == (8.0, 2.0)
-        assert part.lam_bot == (4.0, 1.0)
 
     def test_trailing_zeros_excluded(self):
         part = g_partition([4.0, 2.0, 0.0, 0.0], 2.0)
@@ -81,67 +79,26 @@ class TestGPartition:
 class TestPartitionStats:
     def test_reference_spectrum_values(self):
         part = g_partition(EXPT1_SPECTRUM, 3.0)
-        stats = partition_stats(part, EXPT1_SPECTRUM)
-        assert stats.vartheta == 2
-        assert stats.g_eff == 1.0
-        assert stats.chi == pytest.approx(0.001, rel=1e-12)
-        assert stats.f == pytest.approx(1000.0, rel=1e-12)
+        assert part.vartheta == 2
+        assert part.g_eff == 1.0
+        assert part.chi == pytest.approx(0.001, rel=1e-12)
+        assert part.f == pytest.approx(1000.0, rel=1e-12)
 
     def test_single_cluster_of_equal_values(self):
         lam = [7.0, 7.0]
-        stats = partition_stats(g_partition(lam, 1.0), lam)
-        assert stats.g_eff == 1.0 and stats.chi == 0.0
+        part = g_partition(lam, 1.0)
+        assert part.g_eff == 1.0 and part.chi == 0.0
 
     def test_hand_arithmetic(self):
         lam = [8.0, 4.0, 2.0, 1.0]
-        stats = partition_stats(g_partition(lam, 2.0), lam)
-        assert stats.g_eff == 2.0
-        assert stats.chi == 0.5
-        assert stats.f == 8.0
-
-    def test_inconsistent_partition_rejected(self):
-        part = g_partition([8.0, 4.0], 2.0)
-        with pytest.raises(ParameterError):
-            partition_stats(part, [8.0, 4.0, 2.0])
+        part = g_partition(lam, 2.0)
+        assert part.g_eff == 2.0
+        assert part.chi == 0.5
+        assert part.f == 8.0
 
     @given(spectra(min_len=1), st.floats(1.0, 30.0))
     @settings(max_examples=100, deadline=None)
     def test_stats_ranges(self, lam, g):
         part = g_partition(lam, g)
-        stats = partition_stats(part, lam)
-        assert 1.0 <= stats.g_eff <= stats.f * (1 + 1e-12)
-        assert 0.0 <= stats.chi <= 1.0 + 1e-12
-
-
-class TestCheckClustering:
-    def test_reference_spectrum_holds(self):
-        holds, g, stats = check_clustering(EXPT1_SPECTRUM, 1.0, 0.001)
-        assert holds and g == 1.0
-        assert stats.vartheta == 2 and stats.g_eff == 1.0
-
-    def test_two_values_too_far(self):
-        # only candidate partitions: ({0},{1}) with chi = 0.1, or one cluster
-        # at g >= 10 which g_plus forbids
-        holds, g, stats = check_clustering([10.0, 1.0], 1.5, 0.01)
-        assert not holds and g is None and stats is None
-
-    def test_single_eigenvalue(self):
-        holds, g, stats = check_clustering([7.0], 1.0, 0.0)
-        assert holds and stats.vartheta == 1 and stats.chi == 0.0
-
-    def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            check_clustering([2.0, 1.0], 0.9, 0.1)
-        with pytest.raises(ParameterError):
-            check_clustering([2.0, 1.0], 2.0, -0.1)
-
-    @given(spectra(min_len=2, max_len=8))
-    @settings(max_examples=100, deadline=None)
-    def test_witness_is_admissible(self, lam):
-        lam = np.asarray(lam)
-        f = lam[0] / lam[-1]
-        holds, g, stats = check_clustering(lam, f, 1.0)
-        assert holds  # chi <= 1 always, so some candidate works
-        assert 1.0 <= g <= f * (1 + 1e-12)
-        part = g_partition(lam, g)
-        assert partition_stats(part, lam).chi <= 1.0 + 1e-12
+        assert 1.0 <= part.g_eff <= part.f * (1 + 1e-12)
+        assert 0.0 <= part.chi <= 1.0 + 1e-12

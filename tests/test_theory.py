@@ -183,7 +183,7 @@ class TestVerifyM2Bound:
 
     def test_wrapped_reference_schedule_random_psd(self):
         rng = np.random.default_rng(1)
-        sched = generate_support_schedule(500, 300, 5, 2, 1, wrap=True)
+        sched = generate_support_schedule(500, 300, 5, 2, 1)
         for _ in range(3):
             A_list = []
             for T in sched.supports:
@@ -220,6 +220,14 @@ class TestVerifyM2Bound:
         with pytest.raises(DimensionError):
             verify_m2_bound(sched, np.zeros((2, 3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        sched = generate_support_schedule(10, 4, 2, 1, 1)
+        A = np.stack([np.eye(2)] * 4)
+        A[2, 0, 1] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            verify_m2_bound(sched, A)
+
 
 def per_frame_m2_bound(schedule, A_list):
     """Reference for verify_m2_bound: the oracle one frame at a time, each
@@ -249,7 +257,7 @@ def per_frame_sweep(draws, seed, n, alpha, s, rho, beta_tilde):
     results = []
     for _ in range(draws):
         start = int(rng.integers(0, n))
-        schedule = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start, wrap=True)
+        schedule = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start)
         A_list = []
         for T in schedule.supports:
             B = rng.standard_normal((len(T), len(T)))
@@ -291,7 +299,7 @@ class TestM2BoundAgainstPerFrame:
     def test_random_sweeps(self, seed, n, alpha, s, rho, beta_tilde):
         assume(s <= n)
         try:
-            generate_support_schedule(n, alpha, s, rho, beta_tilde, wrap=True)
+            generate_support_schedule(n, alpha, s, rho, beta_tilde)
         except ScheduleError:
             assume(False)  # wrapped motion too dense for the cover bound
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -307,7 +315,7 @@ class TestM2BoundAgainstPerFrame:
         assert_sweep_matches_per_frame(monkeypatch, 4, 2024, n, alpha, s, rho, beta_tilde)
 
     def test_first_bad_frame_named(self):
-        sched = generate_support_schedule(40, 12, 3, 1, 1, wrap=True)
+        sched = generate_support_schedule(40, 12, 3, 1, 1)
         rng = np.random.default_rng(5)
         B = rng.standard_normal((12, 3, 3))
         A = np.swapaxes(B, 1, 2) @ B
@@ -365,6 +373,12 @@ class TestSinThetaGapCheck:
         bound, measured = sin_theta_gap_check(A, H, 2)
         assert bound == pytest.approx(0.1 / (1.0 - 0.0 - 0.1), rel=1e-12)
         assert measured <= bound + 1e-9
+
+    def test_r_out_of_range(self):
+        # a top-r eigenspace with a complement needs 1 <= r < n
+        for r in (0, 3, 4):
+            with pytest.raises(DimensionError):
+                sin_theta_gap_check(np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3)), r)
 
     def test_gap_error_propagates(self):
         A = np.diag([1.0, 0.99, 0.5])

@@ -4,32 +4,22 @@ and sweep the verification oracles."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 
 import numpy as np
 
 from . import bench, datagen
-from .errors import DdnPcaError, ScheduleError
+from .errors import DdnPcaError, ParameterError, ScheduleError
 from .spectrum import g_partition
-
-OUT_ENV_VAR = "DDNPCA_OUT"
-
-
-def _resolve_out(arg_out: str | None) -> str:
-    if arg_out:
-        return arg_out
-    return os.environ.get(OUT_ENV_VAR, ".")
 
 
 def _cmd_run(args) -> int:
     cfg = bench.parse_config(args.config)
-    out_dir = _resolve_out(args.out)
     records, summary = bench.run_experiment(
-        cfg, out_dir, trials=args.trials, base_seed=args.seed
+        cfg, args.out, trials=args.trials, base_seed=args.seed
     )
-    print(f"wrote {out_dir}/results.csv ({len(records)} records)")
+    print(f"wrote {args.out}/results.csv ({len(records)} records)")
     print(f"thresh_used={bench.effective_thresh(cfg):g} (configured {cfg.thresh:g})")
     for m in summary:
         mean_se = "NA" if m.mean_se is None else f"{m.mean_se:.6f}"
@@ -45,7 +35,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_partition(args) -> int:
     with open(args.eigs_file) as fh:
-        values = [float(tok) for tok in fh.read().split()]
+        try:
+            values = [float(tok) for tok in fh.read().split()]
+        except ValueError as exc:
+            raise ParameterError(f"{args.eigs_file}: {exc}") from None
     part = g_partition(np.asarray(values), args.g)
     bench.emit_cluster_plot(values, part, args.out)
     print(f"{part.vartheta} clusters, sizes {part.sizes}; wrote {args.out}")
@@ -95,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--trials", type=int, default=None, help="override the trial count")
     p_run.add_argument("--seed", type=int, default=None, help="override the base seed")
-    p_run.add_argument("--out", default=None,
-                       help=f"output directory (default: ${OUT_ENV_VAR} or '.')")
+    p_run.add_argument("--out", default=".", help="output directory (default: '.')")
     p_run.set_defaults(func=_cmd_run)
 
     p_part = sub.add_parser("partition", help="partition a spectrum into eigenvalue clusters")

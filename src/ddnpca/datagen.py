@@ -237,34 +237,6 @@ class SddcNoiseModel:
             raise ParameterError(f"q_gen must be non-negative, got {self.q_gen}")
 
 
-def apply_missing(ell, T) -> np.ndarray:
-    """Zero the entries of ell indexed by T."""
-    ell = np.asarray(ell, dtype=float)
-    y = ell.copy()
-    idx = list(T)
-    if idx and (min(idx) < 0 or max(idx) >= ell.shape[0]):
-        raise DimensionError(f"support index out of range [0, {ell.shape[0]})")
-    y[idx] = 0.0
-    return y
-
-
-def apply_sddc(ell, T, Mst) -> np.ndarray:
-    """Add the corruption I_T (Mst @ ell); the change is supported within T."""
-    ell = np.asarray(ell, dtype=float)
-    idx = list(T)
-    Mst = np.asarray(Mst, dtype=float)
-    if Mst.ndim != 2 or Mst.shape != (len(idx), ell.shape[0]):
-        raise DimensionError(
-            f"Mst must be {len(idx)}x{ell.shape[0]}, got {Mst.shape}"
-        )
-    if idx and (min(idx) < 0 or max(idx) >= ell.shape[0]):
-        raise DimensionError(f"support index out of range [0, {ell.shape[0]})")
-    y = ell.copy()
-    if idx:
-        y[idx] += Mst @ ell
-    return y
-
-
 # Frames per batch of corruption draws and q measurements.  Fixed: it bounds
 # the memory of one batch without changing any output or the draw order.
 _FRAME_CHUNK = 64

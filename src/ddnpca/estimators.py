@@ -13,10 +13,10 @@ from .errors import (
     InsufficientDataError,
     NoClusterError,
     NonTerminationError,
-    OrderError,
     ParameterError,
 )
 from .linalg import ACCUMULATED_BASIS_TOL, _fix_signs, check_basis, empirical_covariance, sym_eig
+from .spectrum import _check_spectrum, _cluster_width
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,28 +129,19 @@ def simple_evd(eig: BlockEig, thresh: float) -> np.ndarray:
 def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
     """Width of the leading eigenvalue cluster of a non-increasing spectrum.
 
-    Extends the cluster while the ratio of the leading eigenvalue to the
-    candidate stays <= g_hat; r_hat is the largest such index.  The stop
-    flag is set when the first excluded eigenvalue falls below thresh (a
-    missing one counts as below).
+    r_hat is the width of the ratio-g_hat cluster that starts at the leading
+    eigenvalue, by the rule `spectrum.g_partition` uses.  The stop flag is
+    set when the first excluded eigenvalue falls below thresh (a missing one
+    counts as below).
     """
-    lam = np.asarray(eigs, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ParameterError("eigs must be a non-empty 1-D sequence")
-    if not np.isfinite(lam).all():
-        raise ParameterError("eigs must be finite")
-    if np.any(np.diff(lam) > 0):
-        raise OrderError("eigs must be sorted non-increasing")
-    if g_hat < 1:
-        raise ParameterError(f"g_hat must be >= 1, got {g_hat}")
+    lam = _check_spectrum(eigs, g_hat)
+    if thresh <= 0:
+        raise ParameterError(f"thresh must be positive, got {thresh}")
     if lam[0] < thresh:
         raise NoClusterError(
             f"leading eigenvalue {lam[0]:.6e} is below thresh={thresh}"
         )
-    r_hat = 1
-    # lam may go negative from roundoff; the product form avoids dividing.
-    while r_hat < lam.size and lam[0] <= g_hat * lam[r_hat]:
-        r_hat += 1
+    r_hat = _cluster_width(lam, 0, g_hat)
     stop = r_hat == lam.size or lam[r_hat] < thresh
     return r_hat, stop
 
@@ -170,8 +161,6 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
     max_clusters is a safety cap (defaults to the ambient dimension); hitting
     it raises NonTerminationError rather than looping on degenerate data.
     """
-    if thresh <= 0:
-        raise ParameterError(f"thresh must be positive, got {thresh}")
     if max_clusters is not None and max_clusters < 1:
         raise ParameterError("max_clusters must be positive")
     if first.G is not None:

@@ -35,23 +35,39 @@ class ClusterPartition:
         return tuple(tuple(range(end - size, end)) for size, end in zip(self.sizes, ends))
 
 
-def g_partition(eigenvalues, g: float) -> ClusterPartition:
-    """Greedy partition of a non-increasing spectrum into ratio-g clusters.
-
-    Each cluster starts at the first unassigned index i* and extends while
-    lam[i*] / lam[j] <= g (equality extends); it closes at the first
-    violation.  Trailing zero eigenvalues are excluded.  Comparisons are
-    exact floating point.
-    """
+def _check_spectrum(eigenvalues, g: float) -> np.ndarray:
+    """A 1-D, non-empty, finite, non-increasing spectrum as floats; g >= 1."""
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ParameterError("eigenvalues must be a non-empty 1-D sequence")
-    if np.any(lam < 0):
-        raise ParameterError("eigenvalues must be non-negative")
+    if not np.isfinite(lam).all():
+        raise ParameterError("eigenvalues must be finite")
     if np.any(np.diff(lam) > 0):
         raise OrderError("eigenvalues must be sorted non-increasing")
-    if g < 1.0:
+    if not g >= 1.0:
         raise ParameterError(f"g must be >= 1, got {g}")
+    return lam
+
+
+def _cluster_width(lam: np.ndarray, i: int, g: float) -> int:
+    """Width of the ratio-g cluster that starts at index i of a checked
+    spectrum: j > i joins while lam[i] / lam[j] <= g, equality included (the
+    ratio form, so that g equal to a ratio resolves exactly).  Only the
+    positive prefix joins; on it the ratio never decreases with j, as
+    correctly rounded division is monotone, so one count finds the members.
+    """
+    nz = int(np.count_nonzero(lam > 0.0))
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf, correctly > g
+        return 1 + int(np.count_nonzero(lam[i] / lam[i + 1:nz] <= g))
+
+
+def g_partition(eigenvalues, g: float) -> ClusterPartition:
+    """Greedy partition of a non-increasing spectrum into ratio-g clusters,
+    each as wide as `_cluster_width` from the first unassigned index.
+    Trailing zero eigenvalues are excluded."""
+    lam = _check_spectrum(eigenvalues, g)
+    if lam[-1] < 0:
+        raise ParameterError("eigenvalues must be non-negative")
     nz = int(np.count_nonzero(lam > 0.0))
     if nz == 0:
         raise ParameterError("all eigenvalues are zero; nothing to partition")
@@ -60,16 +76,11 @@ def g_partition(eigenvalues, g: float) -> ClusterPartition:
     g_eff, chi = 1.0, 0.0
     start = 0
     while start < nz:
-        head = lam[start]
-        end = start + 1
-        # ratio form, not head <= g*lam: the boundary cases (g equal to an
-        # eigenvalue ratio) must resolve exactly
-        while end < nz and head / lam[end] <= g:
-            end += 1
+        end = start + _cluster_width(lam, start, g)
         sizes.append(end - start)
-        g_eff = max(g_eff, head / lam[end - 1])
+        g_eff = max(g_eff, lam[start] / lam[end - 1])
         if start > 0:
-            chi = max(chi, head / lam[start - 1])
+            chi = max(chi, lam[start] / lam[start - 1])
         start = end
 
     return ClusterPartition(

@@ -303,17 +303,6 @@ class TestCli:
         assert rc == 0
         assert "thresh_used=0.05 (configured 0.095)" in capsys.readouterr().out
 
-    def test_out_env_var(self, tmp_path, monkeypatch, capsys):
-        cfg_path = tmp_path / "tiny.cfg"
-        cfg_path.write_text(
-            "n = 40\nr = 3\nalpha = 60\nlambda_diag = 16, 4, 1\nnoise_kind = sddc\n"
-            "q_gen = 0.01\ns = 3\nrho = 3\nbeta_tilde = 1\ng_hat = 2.5\nthresh = 0.4\n"
-            "trials = 1\nbase_seed = 1\nbasis_kind = sparse\n"
-        )
-        monkeypatch.setenv("DDNPCA_OUT", str(tmp_path / "envout"))
-        assert main(["run", str(cfg_path)]) == 0
-        assert (tmp_path / "envout" / "results.csv").exists()
-
     def test_partition_subcommand(self, tmp_path, capsys):
         eigs = tmp_path / "eigs.txt"
         eigs.write_text("100 100 100 0.1 0.1\n")
@@ -321,6 +310,17 @@ class TestCli:
         assert main(["partition", str(eigs), "--g", "3", "--out", str(plot)]) == 0
         assert "2 clusters" in capsys.readouterr().out
         assert plot.exists()
+
+    @pytest.mark.parametrize("text, named", [("3 abc 1\n", "'abc'"), ("3 nan 1\n", "finite")],
+                             ids=["token", "nan"])
+    def test_partition_bad_value_exit_code(self, tmp_path, capsys, text, named):
+        eigs = tmp_path / "eigs.txt"
+        eigs.write_text(text)
+        plot = tmp_path / "plot.txt"
+        assert main(["partition", str(eigs), "--g", "3", "--out", str(plot)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not plot.exists()
 
     def test_bounds_subcommand(self, capsys):
         assert main(["bounds", str(CONFIG_DIR / "expt1.cfg")]) == 0
@@ -376,8 +376,6 @@ class TestProductReachability:
 
     # Each exception is an open ROADMAP item, not a permanent exemption.
     ALLOWED = (
-        "apply_missing",               # item 6: the data path's test oracle, to move to tests/
-        "apply_sddc",                  # item 6: as apply_missing
         "perturbation_decomposition",  # item 4: becomes a per-trial column
         "sample_coefficients",         # acceptance criterion 8 checks the coefficient law
     )

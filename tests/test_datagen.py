@@ -13,8 +13,6 @@ from ddnpca.datagen import (
     SddcNoiseModel,
     SignalModel,
     SupportSchedule,
-    apply_missing,
-    apply_sddc,
     generate_dataset,
     generate_support_schedule,
     random_basis,
@@ -160,53 +158,6 @@ class TestScheduleValidator:
         assert sched.beta == 4
 
 
-class TestChannels:
-    def test_missing_empty_set(self):
-        ell = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(apply_missing(ell, ()), ell)
-
-    def test_missing_all(self):
-        ell = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(apply_missing(ell, (0, 1)), np.zeros(2))
-
-    def test_missing_masks(self):
-        np.testing.assert_array_equal(
-            apply_missing(np.array([1.0, 2.0, 3.0]), (1,)), np.array([1.0, 0.0, 3.0])
-        )
-
-    def test_missing_out_of_range(self):
-        with pytest.raises(DimensionError):
-            apply_missing(np.ones(3), (5,))
-
-    def test_sddc_zero_matrix(self):
-        ell = np.array([1.0, -1.0, 2.0])
-        np.testing.assert_array_equal(apply_sddc(ell, (0, 2), np.zeros((2, 3))), ell)
-
-    def test_sddc_scalar_case(self):
-        c, m = 2.0, 0.25
-        ell = np.array([c, 0.0, 0.0])
-        M = np.array([[m, 0.0, 0.0]])
-        out = apply_sddc(ell, (0,), M)
-        np.testing.assert_allclose(out, [c + m * c, 0.0, 0.0])
-
-    def test_sddc_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply_sddc(np.ones(3), (0, 1), np.zeros((1, 3)))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_sddc_difference_supported_on_t(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 12))
-        ell = rng.standard_normal(n)
-        size = int(rng.integers(1, n + 1))
-        T = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        M = rng.standard_normal((size, n))
-        diff = apply_sddc(ell, T, M) - ell
-        off = np.setdiff1d(np.arange(n), T)
-        assert np.all(diff[off] == 0.0)
-
-
 class TestGenerateDataset:
     def test_missing_channel_invariants(self):
         model = expt1_model()
@@ -255,6 +206,81 @@ class TestGenerateDataset:
         sched = generate_support_schedule(10, 2, 2, 2, 1)
         with pytest.raises(DimensionError):
             generate_dataset(model, MissingNoiseModel(sched), 5, np.random.default_rng(0))
+
+
+def apply_missing(ell, T) -> np.ndarray:
+    """Zero the entries of ell indexed by T."""
+    ell = np.asarray(ell, dtype=float)
+    y = ell.copy()
+    idx = list(T)
+    if idx and (min(idx) < 0 or max(idx) >= ell.shape[0]):
+        raise DimensionError(f"support index out of range [0, {ell.shape[0]})")
+    y[idx] = 0.0
+    return y
+
+
+def apply_sddc(ell, T, Mst) -> np.ndarray:
+    """Add the corruption I_T (Mst @ ell); the change is supported within T."""
+    ell = np.asarray(ell, dtype=float)
+    idx = list(T)
+    Mst = np.asarray(Mst, dtype=float)
+    if Mst.ndim != 2 or Mst.shape != (len(idx), ell.shape[0]):
+        raise DimensionError(
+            f"Mst must be {len(idx)}x{ell.shape[0]}, got {Mst.shape}"
+        )
+    if idx and (min(idx) < 0 or max(idx) >= ell.shape[0]):
+        raise DimensionError(f"support index out of range [0, {ell.shape[0]})")
+    y = ell.copy()
+    if idx:
+        y[idx] += Mst @ ell
+    return y
+
+
+class TestChannels:
+    def test_missing_empty_set(self):
+        ell = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(apply_missing(ell, ()), ell)
+
+    def test_missing_all(self):
+        ell = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(apply_missing(ell, (0, 1)), np.zeros(2))
+
+    def test_missing_masks(self):
+        np.testing.assert_array_equal(
+            apply_missing(np.array([1.0, 2.0, 3.0]), (1,)), np.array([1.0, 0.0, 3.0])
+        )
+
+    def test_missing_out_of_range(self):
+        with pytest.raises(DimensionError):
+            apply_missing(np.ones(3), (5,))
+
+    def test_sddc_zero_matrix(self):
+        ell = np.array([1.0, -1.0, 2.0])
+        np.testing.assert_array_equal(apply_sddc(ell, (0, 2), np.zeros((2, 3))), ell)
+
+    def test_sddc_scalar_case(self):
+        c, m = 2.0, 0.25
+        ell = np.array([c, 0.0, 0.0])
+        M = np.array([[m, 0.0, 0.0]])
+        out = apply_sddc(ell, (0,), M)
+        np.testing.assert_allclose(out, [c + m * c, 0.0, 0.0])
+
+    def test_sddc_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            apply_sddc(np.ones(3), (0, 1), np.zeros((1, 3)))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_sddc_difference_supported_on_t(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        ell = rng.standard_normal(n)
+        size = int(rng.integers(1, n + 1))
+        T = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        M = rng.standard_normal((size, n))
+        diff = apply_sddc(ell, T, M) - ell
+        off = np.setdiff1d(np.arange(n), T)
+        assert np.all(diff[off] == 0.0)
 
 
 def per_frame_dataset(model, noise, alpha, rng):

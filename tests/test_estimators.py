@@ -250,6 +250,40 @@ class TestDetectCluster:
         r_hat, _ = detect_cluster(lam, 2.0, 0.5)
         assert r_hat == part.sizes[0]
 
+    def test_ratio_tie_extends(self):
+        # 0.111 / 0.037 rounds to exactly 3, while 3 * 0.037 rounds below 0.111
+        assert detect_cluster([0.111, 0.037], 3.0, 0.05) == (2, True)
+
+    def test_ratio_beyond_float_range(self):
+        # 1e300 / 1e-300 overflows to inf, which is correctly outside the cluster
+        assert detect_cluster([1e300, 1e-300], 2.0, 1.0) == (1, True)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ParameterError):
+            detect_cluster([np.inf, 1.0], 2.0, 0.5)
+
+    @pytest.mark.parametrize("thresh", [0.0, -1.0])
+    def test_non_positive_thresh_rejected(self, thresh):
+        # without the check, a zero spectrum would be a cluster of width 1
+        with pytest.raises(ParameterError):
+            detect_cluster([0.0, 0.0], 2.0, thresh)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_width_is_first_partition_cluster(self, data):
+        # a few fixed values give repeats and exact ratio ties (0.111 / 0.037 == 3)
+        value = st.one_of(st.floats(1e-3, 1e4), st.sampled_from([3.0, 1.0, 0.111, 0.037]))
+        positive = sorted(data.draw(st.lists(value, min_size=1, max_size=10)), reverse=True)
+        tail = sorted(data.draw(st.lists(st.sampled_from([0.0, -1e-14]), max_size=3)),
+                      reverse=True)
+        lam = np.array(positive + tail)
+        # g is drawn freely or as one of the spectrum's own ratios, an exact tie
+        g = data.draw(st.one_of(st.floats(1.0, 100.0), st.just(3.0),
+                                st.sampled_from([lam[0] / v for v in positive])))
+        thresh = data.draw(st.floats(1e-6, lam[0]))
+        r_hat, _ = detect_cluster(lam, g, thresh)
+        assert r_hat == g_partition(positive, g).sizes[0]
+
 
 class TestClusterEvd:
     def test_noiseless_rank_one(self):

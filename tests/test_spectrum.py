@@ -49,6 +49,16 @@ class TestGPartition:
         with pytest.raises(ParameterError):
             g_partition([2.0, -1.0], 2.0)
 
+    @pytest.mark.parametrize("lam", [[3.0, np.nan, 1.0], [np.inf, 1.0], [2.0, 1.0, -np.inf]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(ParameterError):
+            g_partition(lam, 3.0)
+
+    def test_ratio_tie_extends(self):
+        # 0.111 / 0.037 rounds to exactly 3, while 3 * 0.037 rounds below 0.111
+        assert g_partition([0.111, 0.037], 3.0).sizes == (2,)
+
     @given(spectra(), st.floats(min_value=1.0, max_value=100.0))
     @settings(max_examples=200, deadline=None)
     def test_cover_disjoint_and_greedy_maximal(self, lam, g):

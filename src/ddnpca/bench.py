@@ -192,7 +192,7 @@ class _BlockStream:
                 noise = datagen.MissingNoiseModel(schedule)
             else:
                 noise = datagen.SddcNoiseModel(cfg.q_gen, schedule)
-            Y, _, _, q = datagen.generate_dataset(self._model, noise, cfg.alpha, self._rng)
+            Y, _, q = datagen.generate_dataset(self._model, noise, cfg.alpha, self._rng)
         finally:
             self.gen_ms += (time.perf_counter() - t0) * 1e3
         self._k += 1

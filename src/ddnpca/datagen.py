@@ -162,14 +162,20 @@ def _rowwise_isin(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     return np.isin(A + offset, B + offset)
 
 
+def _run_starts(S: np.ndarray) -> np.ndarray:
+    """First frame of each run of an (alpha, s) support array: the maximal
+    stretches of identical consecutive rows."""
+    return np.flatnonzero(np.r_[True, (S[1:] != S[:-1]).any(axis=1)])
+
+
 def verify_schedule_conditions(schedule: SupportSchedule) -> dict:
     """Independently re-check the structural conditions of a schedule.
 
-    Works on its runs: maximal stretches of identical consecutive rows,
-    each a distinct support R[k] held for lengths[k] frames.
+    Works on its runs (see `_run_starts`), each a distinct support R[k]
+    held for lengths[k] frames.
     """
     S, n, rho = schedule.supports, schedule.n, schedule.rho
-    starts = np.flatnonzero(np.r_[True, (S[1:] != S[:-1]).any(axis=1)])
+    starts = _run_starts(S)
     lengths = np.diff(np.r_[starts, S.shape[0]])
     R = S[starts]
     # Condition 3: no pixel leaves the support at more than one change.
@@ -237,18 +243,26 @@ class SddcNoiseModel:
             raise ParameterError(f"q_gen must be non-negative, got {self.q_gen}")
 
 
-# Frames per batch of corruption draws and q measurements.  Fixed: it bounds
-# the memory of one batch without changing any output or the draw order.
+# Frames per batch of sparse-channel corruption draws and q measurements.
+# Fixed: it bounds the memory of one draw without changing any output or the
+# draw order.
 _FRAME_CHUNK = 64
 
 
 def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Generator):
     """Draw alpha columns of signal and observations under a noise channel.
 
-    Returns (Y, L, schedule, q_measured) where q_measured is the largest
-    observed operator norm of the per-frame correlation map restricted to
-    the signal subspace (||I_T' P|| for missing, ||M_st P|| for the sparse
-    channel).
+    Returns (Y, A, q_measured).  A is the r x alpha coefficient matrix; the
+    signal is `model.P @ A`, which gives the same bits as the product Y
+    starts from.  The schedule is `noise.schedule`.  q_measured is the
+    largest operator norm of the per-frame correlation map restricted to the
+    signal subspace: ||I_T' P|| on the missing channel, ||M_st P|| on the
+    sparse one.
+
+    Y is built as `model.P @ A` and corrupted in place; no second n x alpha
+    array is made.  The missing channel zeroes every frame's support with
+    one assignment and measures q once per run of identical supports, as
+    frames of one run have the same matrix I_T' P.
 
     Stream contract: the coefficients are drawn first, in one (r, alpha)
     batch.  The sparse channel then draws each frame's s x n corruption
@@ -269,30 +283,27 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
         raise ParameterError(f"unknown noise model {type(noise).__name__}")
 
     A = _coefficient_matrix(model, alpha, rng)
-    L = model.P @ A
-    Y = L.copy()
-    q_measured = 0.0
+    Y = model.P @ A
+    S = schedule.supports[:alpha]
 
+    if isinstance(noise, MissingNoiseModel):
+        Y[S, np.arange(alpha)[:, None]] = 0.0
+        return Y, A, spectral_norm(model.P[S[_run_starts(S)]])
+
+    q_measured = 0.0
     for first in range(0, alpha, _FRAME_CHUNK):
         last = min(first + _FRAME_CHUNK, alpha)
-        T = schedule.supports[first:last]  # (k, s)
-        cols = np.arange(first, last)[:, None]
-        if isinstance(noise, MissingNoiseModel):
-            Y[T, cols] = 0.0
-            q = spectral_norm(model.P[T])
-        else:
-            shape = (last - first, schedule.s, model.n)
-            Mst = rng.normal(0.0, noise.q_gen, size=shape) if noise.q_gen > 0 \
-                else np.zeros(shape)
-            # The chunk's columns as a view of L, strided as L[:, t] is, so each
-            # product is the BLAS call `Mst @ L[:, t]` makes and sums in the
-            # same order (for s = 1 a dot product, whose order depends on
-            # whether the column is contiguous).
-            Y[T, cols] += (Mst @ L.T[first:last, :, None])[:, :, 0]
-            q = spectral_norm(Mst @ model.P)
-        q_measured = max(q_measured, q)
-
-    return Y, L, schedule, q_measured
+        shape = (last - first, schedule.s, model.n)
+        Mst = rng.normal(0.0, noise.q_gen, size=shape) if noise.q_gen > 0 else np.zeros(shape)
+        # The chunk's columns of Y, read before they are written, as a view
+        # strided as Y[:, t] is, so each product is the BLAS call
+        # `Mst @ ell_t` makes and sums in the same order (for s = 1 a dot
+        # product, whose order depends on whether the column is contiguous).
+        Y[S[first:last], np.arange(first, last)[:, None]] += \
+            (Mst @ Y.T[first:last, :, None])[:, :, 0]
+        q_measured = max(q_measured, spectral_norm(Mst @ model.P))
+        del Mst  # one chunk's draw alive at a time
+    return Y, A, q_measured
 
 
 def sparse_basis(n: int, r: int) -> np.ndarray:

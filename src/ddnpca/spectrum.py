@@ -23,7 +23,7 @@ class ClusterPartition:
     g: float      # the ratio cap the partition was built with
     g_eff: float  # max within-cluster ratio top/bottom
     chi: float    # max ratio of one cluster's top to the previous cluster's bottom; 0 for one
-    f: float      # overall condition number over the nonzero eigenvalues
+    f: float      # overall condition number over the nonzero eigenvalues; may be inf
 
     @property
     def vartheta(self) -> int:
@@ -83,7 +83,7 @@ def g_partition(eigenvalues, g: float) -> ClusterPartition:
             chi = max(chi, lam[start] / lam[start - 1])
         start = end
 
-    return ClusterPartition(
-        sizes=tuple(sizes), g=float(g), g_eff=float(g_eff), chi=float(chi),
-        f=float(lam[0] / lam[nz - 1]),
-    )
+    with np.errstate(over="ignore"):  # a range past the float range gives f = inf
+        f = float(lam[0] / lam[nz - 1])
+    return ClusterPartition(sizes=tuple(sizes), g=float(g), g_eff=float(g_eff),
+                            chi=float(chi), f=f)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import time
 from pathlib import Path
 
@@ -367,6 +368,13 @@ class TestPerfbenchNames:
         missing = [f"{module}.{attr}" for module, attr in names
                    if not hasattr(importlib.import_module(module), attr)]
         assert missing == []
+
+    def test_frame_counter_reads_alpha(self):
+        # perfbench's frame counter (`_count_frames` in layers.py) reads
+        # alpha as the third positional argument of generate_dataset; a
+        # reordered signature would zero `datagen.frames` without an error
+        params = list(inspect.signature(datagen.generate_dataset).parameters)
+        assert params[2] == "alpha"
 
 
 class TestProductReachability:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -163,7 +164,8 @@ class TestGenerateDataset:
         model = expt1_model()
         sched = generate_support_schedule(500, 50, 5, 2, 1)
         rng = np.random.default_rng(2)
-        Y, L, _, q = generate_dataset(model, MissingNoiseModel(sched), 50, rng)
+        Y, A, q = generate_dataset(model, MissingNoiseModel(sched), 50, rng)
+        L = model.P @ A
         for t in range(50):
             T = list(sched.supports[t])
             off = np.setdiff1d(np.arange(500), T)
@@ -174,7 +176,8 @@ class TestGenerateDataset:
         model = expt1_model()
         sched = generate_support_schedule(500, 100, 5, 2, 1)
         rng = np.random.default_rng(3)
-        Y, L, _, q = generate_dataset(model, SddcNoiseModel(0.01, sched), 100, rng)
+        Y, A, q = generate_dataset(model, SddcNoiseModel(0.01, sched), 100, rng)
+        L = model.P @ A
         W = Y - L
         ratios = np.linalg.norm(W, axis=0) / np.linalg.norm(L, axis=0)
         assert np.all(ratios <= q + 1e-9)
@@ -185,7 +188,8 @@ class TestGenerateDataset:
         model = SignalModel(P=sparse_basis(30, 3), lam=np.array([4.0, 2.0, 1.0]))
         sched = generate_support_schedule(30, 8, 3, 3, 1)
         rng = np.random.default_rng(4)
-        Y, L, _, _ = generate_dataset(model, SddcNoiseModel(0.2, sched), 8, rng)
+        Y, A, _ = generate_dataset(model, SddcNoiseModel(0.2, sched), 8, rng)
+        L = model.P @ A
         for t in range(8):
             off = np.setdiff1d(np.arange(30), sched.supports[t])
             np.testing.assert_array_equal(Y[off, t], L[off, t])
@@ -199,7 +203,32 @@ class TestGenerateDataset:
             out.append(generate_dataset(model, SddcNoiseModel(0.01, sched), 40, rng))
         np.testing.assert_array_equal(out[0][0], out[1][0])
         np.testing.assert_array_equal(out[0][1], out[1][1])
-        assert out[0][3] == out[1][3]
+        assert out[0][2] == out[1][2]
+
+    @pytest.mark.parametrize("channel, n, alpha, s, beta_tilde", [
+        ("missing", 200, 2000, 2, 5),  # perfbench/missing_tall.cfg
+        ("sddc", 500, 300, 5, 1),      # configs/expt1.cfg
+    ])
+    def test_peak_allocation_one_block(self, channel, n, alpha, s, beta_tilde):
+        # Y is corrupted in place: the peak is one n x alpha array, plus one
+        # chunk's corruption draw on the sparse channel, with half an array
+        # of room for small temporaries.  A signal copy held next to Y
+        # exceeds it.
+        model = SignalModel(P=random_basis(n, 5, np.random.default_rng(0)),
+                            lam=np.array([100.0, 100.0, 100.0, 0.1, 0.1]))
+        sched = generate_support_schedule(n, alpha, s, 2, beta_tilde)
+        noise = MissingNoiseModel(sched) if channel == "missing" else SddcNoiseModel(0.01, sched)
+        budget = 1.5 * n * alpha * 8
+        if channel == "sddc":
+            budget += _FRAME_CHUNK * s * n * 8
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            generate_dataset(model, noise, alpha, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_schedule_too_short(self):
         model = SignalModel(P=sparse_basis(10, 2), lam=np.array([2.0, 1.0]))
@@ -309,10 +338,9 @@ def per_frame_dataset(model, noise, alpha, rng):
 
 def assert_matches_per_frame(model, noise, alpha, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    Y, L, schedule, q = generate_dataset(model, noise, alpha, rng)
+    Y, A, q = generate_dataset(model, noise, alpha, rng)
     Y_ref, L_ref, q_ref = per_frame_dataset(model, noise, alpha, ref_rng)
-    assert schedule is noise.schedule
-    assert L.tobytes() == L_ref.tobytes()
+    assert (model.P @ A).tobytes() == L_ref.tobytes()
     assert Y.tobytes() == Y_ref.tobytes()
     assert q == q_ref
     assert rng.bit_generator.state == ref_rng.bit_generator.state

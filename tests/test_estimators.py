@@ -420,7 +420,7 @@ class TestClusterEvd:
             sched = generate_support_schedule(
                 500, 300, 5, 2, 1, start=(900 * k) % 500
             )
-            Y, _, _, _ = generate_dataset(model, SddcNoiseModel(0.01, sched), 300, rng)
+            Y, _, _ = generate_dataset(model, SddcNoiseModel(0.01, sched), 300, rng)
             blocks.append(Y)
         res = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 3.0, 0.095)
         assert res.vartheta_hat == 2

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddnpca.errors import OrderError, ParameterError
@@ -55,12 +55,19 @@ class TestGPartition:
         with pytest.raises(ParameterError):
             g_partition(lam, 3.0)
 
+    def test_f_past_float_range_is_inf(self):
+        # the pytest config turns RuntimeWarning into an error
+        part = g_partition([1e300, 1e-300], 3.0)
+        assert part.f == np.inf
+        assert part.sizes == (1, 1)
+
     def test_ratio_tie_extends(self):
         # 0.111 / 0.037 rounds to exactly 3, while 3 * 0.037 rounds below 0.111
         assert g_partition([0.111, 0.037], 3.0).sizes == (2,)
 
     @given(spectra(), st.floats(min_value=1.0, max_value=100.0))
     @settings(max_examples=200, deadline=None)
+    @example([0.111, 0.037], 3.0)
     def test_cover_disjoint_and_greedy_maximal(self, lam, g):
         lam = np.asarray(lam)
         part = g_partition(lam, g)
@@ -68,10 +75,12 @@ class TestGPartition:
         assert flat == list(range(len(lam)))  # cover, disjoint, ordered
         for c in part.clusters:
             head = lam[c[0]]
-            assert head <= g * lam[c[-1]]
+            # the ratio form of the rule: a product g * lam[j] can round
+            # below head on an exact tie (test_ratio_tie_extends)
+            assert head / lam[c[-1]] <= g
             nxt = c[-1] + 1
             if nxt < len(lam):
-                assert head > g * lam[nxt]  # maximality: next index would violate
+                assert head / lam[nxt] > g  # maximality: next index would violate
 
     @given(spectra(min_len=2), st.floats(1.0, 50.0), st.floats(1.0, 50.0))
     @settings(max_examples=150, deadline=None)

@@ -351,7 +351,8 @@ class TestPerturbationDecomposition:
         model = SignalModel(P=sparse_basis(60, 3), lam=np.array([9.0, 1.0, 0.5]))
         sched = generate_support_schedule(60, 15, 3, 3, 1)
         rng = np.random.default_rng(3)
-        Y, L, _, _ = generate_dataset(model, SddcNoiseModel(0.05, sched), 15, rng)
+        Y, A, _ = generate_dataset(model, SddcNoiseModel(0.05, sched), 15, rng)
+        L = model.P @ A
         cross, noise, h = perturbation_decomposition(Y, L)
         assert h <= 2 * cross + noise + 1e-9
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import datagen
 from .errors import ConfigError, DdnPcaError, ParameterError, SpectralGapError
-from .estimators import block_eig, cluster_evd, simple_evd
+from .estimators import block_eig, cluster_evd, detect_cluster, simple_evd
 from .linalg import subspace_error
 from .spectrum import ClusterPartition, g_partition
 from .theory import (
@@ -25,8 +26,6 @@ from .theory import (
     sin_theta_gap_check,
     verify_m2_bound,
 )
-
-CSV_HEADER = "trial,method,se,time_ms,vartheta_hat,rank_hat,q_measured,seed"
 
 
 @dataclass(frozen=True)
@@ -47,34 +46,15 @@ class ExperimentConfig:
     basis_kind: str          # "sparse" | "random"
 
     def __post_init__(self):
-        if self.n < 1 or self.r < 1 or self.alpha < 1:
-            raise ConfigError("n, r, alpha must be positive")
-        if self.r > self.n:
-            raise ConfigError(f"r={self.r} exceeds n={self.n}")
-        lam = tuple(float(x) for x in self.lambda_diag)
-        if len(lam) != self.r:
-            raise ConfigError(f"lambda_diag has {len(lam)} entries, expected r={self.r}")
-        if any(x <= 0 for x in lam):
-            raise ConfigError("lambda_diag entries must be positive")
-        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-            raise ConfigError("lambda_diag must be non-increasing")
         if self.noise_kind not in ("missing", "sddc"):
             raise ConfigError(f"noise_kind must be 'missing' or 'sddc', got {self.noise_kind!r}")
         if self.basis_kind not in ("sparse", "random"):
             raise ConfigError(f"basis_kind must be 'sparse' or 'random', got {self.basis_kind!r}")
-        if self.q_gen < 0:
-            raise ConfigError("q_gen must be non-negative")
-        if self.s < 1 or self.rho < 1 or self.beta_tilde < 1:
-            raise ConfigError("s, rho, beta_tilde must be positive")
-        if self.g_hat < 1:
-            raise ConfigError("g_hat must be >= 1")
-        if self.thresh <= 0:
-            raise ConfigError("thresh must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be non-negative")
-        object.__setattr__(self, "lambda_diag", lam)
+        object.__setattr__(self, "lambda_diag", tuple(float(x) for x in self.lambda_diag))
 
 
 _INT_KEYS = ("n", "r", "alpha", "s", "rho", "beta_tilde", "trials", "base_seed")
@@ -121,7 +101,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: key 'lambda_diag': expected comma-separated numbers") from None
     for key in _STR_KEYS:
         kwargs[key] = raw[key]
-    return ExperimentConfig(**kwargs)
+    try:
+        cfg = ExperimentConfig(**kwargs)
+        # The rest is checked where a trial checks it: by building its objects.
+        _build_model(cfg, np.random.default_rng(cfg.base_seed))
+        _block_noise(cfg, 0)
+        detect_cluster(cfg.lambda_diag, cfg.g_hat, effective_thresh(cfg))
+    except DdnPcaError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -172,7 +160,7 @@ class _BlockStream:
         self._model = model
         self._cfg = cfg
         self._rng = rng
-        self._k = 0
+        self._first_run = 0  # of the motion, for the next block's schedule
         self.q_measured = 0.0
         self.gen_ms = 0.0  # wall time spent building blocks
 
@@ -183,21 +171,24 @@ class _BlockStream:
         cfg = self._cfg
         t0 = time.perf_counter()
         try:
-            step = math.ceil(cfg.s / cfg.rho)
-            start = (step * math.ceil(cfg.alpha / cfg.beta_tilde) * self._k) % cfg.n
-            schedule = datagen.generate_support_schedule(
-                cfg.n, cfg.alpha, cfg.s, cfg.rho, cfg.beta_tilde, start=start
-            )
-            if cfg.noise_kind == "missing":
-                noise = datagen.MissingNoiseModel(schedule)
-            else:
-                noise = datagen.SddcNoiseModel(cfg.q_gen, schedule)
+            noise = _block_noise(cfg, self._first_run)
             Y, _, q = datagen.generate_dataset(self._model, noise, cfg.alpha, self._rng)
         finally:
             self.gen_ms += (time.perf_counter() - t0) * 1e3
-        self._k += 1
+        self._first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
         self.q_measured = max(self.q_measured, q)
         return Y
+
+
+def _block_noise(cfg: ExperimentConfig, first_run: int):
+    """Noise model of a block whose schedule starts at run `first_run` of
+    the support motion."""
+    schedule = datagen.generate_support_schedule(
+        cfg.n, cfg.alpha, cfg.s, cfg.rho, cfg.beta_tilde, first_run=first_run
+    )
+    if cfg.noise_kind == "missing":
+        return datagen.MissingNoiseModel(schedule)
+    return datagen.SddcNoiseModel(cfg.q_gen, schedule)
 
 
 def _build_model(cfg: ExperimentConfig, rng: np.random.Generator) -> datagen.SignalModel:
@@ -294,21 +285,22 @@ def _fmt(x) -> str:
     return "NA" if x is None else repr(float(x))
 
 
-def records_to_csv(records: list[TrialRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.trial},{r.method},{_fmt(r.se)},{_fmt(r.time_ms)},"
-            f"{r.vartheta_hat},{r.rank_hat},{_fmt(r.q_measured)},{r.seed}"
-        )
+def _to_csv(rows, cls) -> str:
+    """One column per field of `cls`, in order; float fields through `_fmt`."""
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, _fmt if hints[f.name] in (float, float | None) else str)
+              for f in dataclasses.fields(cls)]
+    lines = [",".join(name for name, _ in fields)]
+    lines += [",".join(fmt(getattr(row, name)) for name, fmt in fields) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records: list[TrialRecord]) -> str:
+    return _to_csv(records, TrialRecord)
 
 
 def summary_to_csv(summary: list[MethodSummary]) -> str:
-    lines = ["method,mean_se,mean_time_ms,failure_count"]
-    for m in summary:
-        lines.append(f"{m.method},{_fmt(m.mean_se)},{_fmt(m.mean_time_ms)},{m.failure_count}")
-    return "\n".join(lines) + "\n"
+    return _to_csv(summary, MethodSummary)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,

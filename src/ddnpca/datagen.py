@@ -34,8 +34,8 @@ class SignalModel:
         lam = np.asarray(self.lam, dtype=float)
         if lam.ndim != 1 or lam.size != P.shape[1]:
             raise DimensionError("lam must be a 1-D array matching the column count of P")
-        if np.any(lam <= 0):
-            raise ParameterError("lam entries must be strictly positive")
+        if not (np.isfinite(lam) & (lam > 0)).all():
+            raise ParameterError("lam entries must be finite and strictly positive")
         if np.any(np.diff(lam) > 0):
             raise ParameterError("lam must be non-increasing")
         object.__setattr__(self, "P", P)
@@ -199,9 +199,11 @@ def generate_support_schedule(
     rho: int,
     beta_tilde: int,
     start: int = 0,
+    first_run: int = 0,
 ) -> SupportSchedule:
     """Constant-velocity support: a contiguous block of size s starting at
-    `start`, shifted right by ceil(s/rho) every beta_tilde frames, modulo n.
+    `start`, shifted right by ceil(s/rho) every beta_tilde frames, modulo n;
+    the schedule opens with run `first_run` of that motion.
 
     A motion that fits inside [0, n) never wraps.  One that does not fit
     wraps around, which is the only way long windows fit in small frames;
@@ -215,7 +217,7 @@ def generate_support_schedule(
     if s > n:
         raise ParameterError(f"s={s} exceeds n={n}")
     step = math.ceil(s / rho)
-    S = (start + step * (np.arange(alpha) // beta_tilde)[:, None] + np.arange(s)) % n
+    S = (start + step * (first_run + np.arange(alpha) // beta_tilde)[:, None] + np.arange(s)) % n
     return SupportSchedule(n=n, supports=S, rho=rho, beta_tilde=beta_tilde)
 
 
@@ -239,8 +241,8 @@ class SddcNoiseModel:
     schedule: SupportSchedule
 
     def __post_init__(self):
-        if self.q_gen < 0:
-            raise ParameterError(f"q_gen must be non-negative, got {self.q_gen}")
+        if not self.q_gen >= 0 or not math.isfinite(self.q_gen):
+            raise ParameterError(f"q_gen must be finite and non-negative, got {self.q_gen}")
 
 
 # Frames per batch of sparse-channel corruption draws and q measurements.
@@ -290,11 +292,15 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
         Y[S, np.arange(alpha)[:, None]] = 0.0
         return Y, A, spectral_norm(model.P[S[_run_starts(S)]])
 
+    if noise.q_gen == 0:
+        # +0.0, the product with a zero matrix, turns a -0.0 there into +0.0
+        Y[S, np.arange(alpha)[:, None]] += 0.0
+        return Y, A, 0.0
+
     q_measured = 0.0
     for first in range(0, alpha, _FRAME_CHUNK):
         last = min(first + _FRAME_CHUNK, alpha)
-        shape = (last - first, schedule.s, model.n)
-        Mst = rng.normal(0.0, noise.q_gen, size=shape) if noise.q_gen > 0 else np.zeros(shape)
+        Mst = rng.normal(0.0, noise.q_gen, size=(last - first, schedule.s, model.n))
         # The chunk's columns of Y, read before they are written, as a view
         # strided as Y[:, t] is, so each product is the BLAS call
         # `Mst @ ell_t` makes and sums in the same order (for s = 1 a dot

@@ -116,7 +116,7 @@ def _alpha_gram(Z: np.ndarray) -> np.ndarray:
 def simple_evd(eig: BlockEig, thresh: float) -> np.ndarray:
     """Eigenvectors of a block's covariance with eigenvalues strictly above
     thresh, ordered by descending eigenvalue; `eig` is `block_eig(Y)`."""
-    if thresh <= 0:
+    if not thresh > 0:
         raise ParameterError(f"thresh must be positive, got {thresh}")
     count = int(np.count_nonzero(eig.eigenvalues > thresh))
     if count == 0:
@@ -135,7 +135,7 @@ def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
     counts as below).
     """
     lam = _check_spectrum(eigs, g_hat)
-    if thresh <= 0:
+    if not thresh > 0:
         raise ParameterError(f"thresh must be positive, got {thresh}")
     if lam[0] < thresh:
         raise NoClusterError(

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csv_rows import read_rows
 from ddnpca.bench import (
     block_sum_bound_sweep,
     parse_config,
@@ -59,25 +60,12 @@ def expt1_runs(tmp_path_factory):
     return cfg, csvs, elapsed
 
 
-def _csv_rows(text: str):
-    rows = []
-    for line in text.splitlines()[1:]:
-        trial, method, se, time_ms, vt, rank, q, seed = line.split(",")
-        rows.append(dict(
-            trial=int(trial), method=method,
-            se=None if se == "NA" else float(se),
-            time_ms=float(time_ms), vartheta_hat=int(vt), rank_hat=int(rank),
-            q_measured=float(q), seed=int(seed),
-        ))
-    return rows
-
-
 def test_criterion_1_expt1_reproduction(expt1_runs):
     cfg, csvs, elapsed = expt1_runs
-    rows = _csv_rows(csvs[0])
+    rows = read_rows(csvs[0])
     means = {}
     for method in ("evd", "cluster_evd"):
-        vals = [r["se"] for r in rows if r["method"] == method and r["se"] is not None]
+        vals = [float(r["se"]) for r in rows if r["method"] == method and r["se"] != "NA"]
         assert len(vals) == 200
         means[method] = sum(vals) / len(vals)
     ok = all(0.05 <= means[m] <= 0.15 for m in means) and elapsed <= 300.0
@@ -212,15 +200,8 @@ def test_criterion_10_determinism(expt1_runs):
     _, csvs, _ = expt1_runs
 
     def strip_time(text):
-        out = []
-        for i, line in enumerate(text.splitlines()):
-            if i == 0:
-                out.append(line)
-                continue
-            parts = line.split(",")
-            parts[3] = ""
-            out.append(",".join(parts))
-        return "\n".join(out)
+        rows = [{k: v for k, v in row.items() if k != "time_ms"} for row in read_rows(text)]
+        return text.splitlines()[0], rows
 
     identical = strip_time(csvs[0]) == strip_time(csvs[1])
     report(10, "determinism", identical,

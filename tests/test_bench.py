@@ -2,16 +2,18 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from csv_rows import read_rows
 from ddnpca import bench, datagen
 from ddnpca.bench import (
-    CSV_HEADER,
     ExperimentConfig,
+    TrialRecord,
     effective_thresh,
     emit_cluster_plot,
     parse_config,
@@ -81,6 +83,72 @@ class TestParseConfig:
         path.write_text(text)
         with pytest.raises(ConfigError, match="'n'"):
             parse_config(path)
+
+
+def expt1_with(tmp_path, **values) -> Path:
+    """A copy of configs/expt1.cfg with the given keys' values replaced."""
+    lines = []
+    for line in (CONFIG_DIR / "expt1.cfg").read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append(f"{key} = {values[key]}" if key in values else line)
+    path = tmp_path / "edited.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestParseConfigBuildsTrialObjects:
+    """parse_config checks a config by building what a trial builds from it:
+    every failure is a ConfigError that names the file."""
+
+    @pytest.mark.parametrize("values", [
+        dict(lambda_diag="100, 100, 100, 0.1, 0"),
+        dict(lambda_diag="100, 100, 100, 0.1, 0.2"),
+        dict(lambda_diag="100, 100, 100, 0.1"),
+        dict(n=4),
+        dict(n=0),
+        dict(r=0),
+        dict(alpha=0),
+        dict(s=0),
+        dict(rho=0),
+        dict(beta_tilde=0),
+        dict(q_gen=-0.01),
+        dict(g_hat=0.5),
+        dict(thresh=0),
+    ], ids=["lam-zero", "lam-increasing", "lam-length", "r-above-n", "n", "r", "alpha",
+            "s", "rho", "beta_tilde", "q_gen-negative", "g_hat-below-1", "thresh-zero"])
+    def test_domain_check_rejects(self, tmp_path, values):
+        path = expt1_with(tmp_path, **values)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+            parse_config(path)
+
+    @pytest.mark.parametrize("values", [
+        dict(q_gen="nan"),
+        dict(q_gen="inf"),
+        dict(thresh="nan"),
+        dict(g_hat="nan"),
+        dict(lambda_diag="100, 100, 100, 0.1, nan"),
+        dict(lambda_diag="inf, 100, 100, 0.1, 0.1"),
+    ], ids=["q_gen-nan", "q_gen-inf", "thresh-nan", "g_hat-nan", "lam-nan", "lam-inf"])
+    def test_non_finite_rejects(self, tmp_path, values):
+        path = expt1_with(tmp_path, **values)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+            parse_config(path)
+
+    def test_infinite_caps_stay_valid(self, tmp_path):
+        # g_hat = inf makes one cluster; thresh = inf is capped by the derating
+        cfg = parse_config(expt1_with(tmp_path, g_hat="inf", thresh="inf"))
+        assert effective_thresh(cfg) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("command", ["bounds", "run"])
+    def test_schedule_failure_exits_2_naming_file(self, tmp_path, capsys, command):
+        # at alpha = 400 expt1's wrapped motion covers a pixel more than
+        # rho^2 * beta_tilde times
+        path = expt1_with(tmp_path, alpha=400)
+        extra = ["--trials", "1", "--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "cover" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEffectiveThresh:
@@ -198,7 +266,7 @@ class TestRunExperiment:
         run_experiment(small_cfg(trials=2), tmp_path / "out")
         text = (tmp_path / "out" / "results.csv").read_text()
         lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0].split(",") == [f.name for f in dataclasses.fields(TrialRecord)]
         assert len(lines) == 1 + 2 * 2
         assert (tmp_path / "out" / "summary.csv").exists()
 
@@ -291,12 +359,13 @@ class TestCli:
         )
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
-        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
-        fields = [row.split(",") for row in rows]
-        found = sorted(int(f[4]) for f in fields if f[1] == "cluster_evd" and f[2] != "NA")
+        rows = read_rows((tmp_path / "out" / "results.csv").read_text())
+        found = sorted(int(row["vartheta_hat"]) for row in rows
+                       if row["method"] == "cluster_evd" and row["se"] != "NA")
         counts = " ".join(f"{k}:{found.count(k)}" for k in sorted(set(found)))
         assert f"vartheta_hat over {len(found)} successful cluster_evd trials: {counts}\n" in out
-        assert f"worst q_measured={max(float(f[6]) for f in fields):.6g}\n" in out
+        worst = max(float(row["q_measured"]) for row in rows)
+        assert f"worst q_measured={worst:.6g}\n" in out
 
     def test_run_reports_derated_threshold(self, tmp_path, capsys):
         rc = main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "1",
@@ -375,6 +444,20 @@ class TestPerfbenchNames:
         # reordered signature would zero `datagen.frames` without an error
         params = list(inspect.signature(datagen.generate_dataset).parameters)
         assert params[2] == "alpha"
+
+
+class TestPerfbenchColumns:
+    """Every results.csv column the benchmark reads by name is a
+    TrialRecord field, so that renaming a column breaks a test rather than
+    the benchmark."""
+
+    def test_read_columns_are_record_fields(self):
+        tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+        keys = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "row" and isinstance(node.slice, ast.Constant)}
+        assert keys  # the parse found the reads
+        assert keys <= {f.name for f in dataclasses.fields(TrialRecord)}
 
 
 class TestProductReachability:

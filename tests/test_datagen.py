@@ -38,6 +38,13 @@ class TestSignalModel:
         with pytest.raises(ParameterError):
             SignalModel(P=sparse_basis(4, 2), lam=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            SignalModel(P=sparse_basis(4, 2), lam=np.array([bad, 1.0]))
+        with pytest.raises(ParameterError, match="finite"):
+            SignalModel(P=sparse_basis(4, 2), lam=np.array([1.0, bad]))
+
     def test_condition_number(self):
         assert expt1_model().f == pytest.approx(1000.0, rel=1e-12)
 
@@ -229,6 +236,12 @@ class TestGenerateDataset:
         finally:
             tracemalloc.stop()
         assert peak < budget
+
+    @pytest.mark.parametrize("q_gen", [-0.1, np.nan, np.inf])
+    def test_q_gen_must_be_finite_non_negative(self, q_gen):
+        sched = generate_support_schedule(10, 2, 2, 2, 1)
+        with pytest.raises(ParameterError, match="q_gen"):
+            SddcNoiseModel(q_gen, sched)
 
     def test_schedule_too_short(self):
         model = SignalModel(P=sparse_basis(10, 2), lam=np.array([2.0, 1.0]))
@@ -506,17 +519,19 @@ class TestScheduleAgainstBruteForce:
         assert sched.supports.tolist() == [[1, 3], [1, 3], [4, 5]]
 
     @given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 6), st.integers(1, 4),
-           st.integers(1, 5), st.integers(0, 39))
+           st.integers(1, 5), st.integers(0, 39), st.integers(0, 100))
     @settings(max_examples=200, deadline=None)
-    def test_generated_schedule_matches_formula(self, n, alpha, s, rho, beta_tilde, start):
+    def test_generated_schedule_matches_formula(self, n, alpha, s, rho, beta_tilde, start,
+                                                first_run):
         assume(start < n and s <= n)
         step = math.ceil(s / rho)
         expected = []
         for t in range(alpha):
-            p = start + step * (t // beta_tilde)
+            p = start + step * (first_run + t // beta_tilde)
             expected.append(tuple(sorted((p + j) % n for j in range(s))))
         try:
-            sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start)
+            sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start,
+                                              first_run=first_run)
         except ScheduleError as exc:
             with pytest.raises(ScheduleError) as direct:
                 SupportSchedule(n=n, supports=expected, rho=rho, beta_tilde=beta_tilde)

@@ -262,7 +262,7 @@ class TestDetectCluster:
         with pytest.raises(ParameterError):
             detect_cluster([np.inf, 1.0], 2.0, 0.5)
 
-    @pytest.mark.parametrize("thresh", [0.0, -1.0])
+    @pytest.mark.parametrize("thresh", [0.0, -1.0, np.nan])
     def test_non_positive_thresh_rejected(self, thresh):
         # without the check, a zero spectrum would be a cluster of width 1
         with pytest.raises(ParameterError):
@@ -385,7 +385,7 @@ class TestClusterEvd:
 
     def test_parameters_rejected(self):
         eig = block_eig(np.eye(3) * 2.0)
-        for thresh in (0.0, -1.0):
+        for thresh in (0.0, -1.0, np.nan):
             with pytest.raises(ParameterError):
                 simple_evd(eig, thresh)
             with pytest.raises(ParameterError):

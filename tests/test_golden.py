@@ -40,7 +40,7 @@ while 0.111 > 3*0.037) and trailing zeros.  Both must match byte for byte.
 
 from pathlib import Path
 
-from ddnpca.bench import CSV_HEADER
+from csv_rows import read_rows
 from ddnpca.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,19 +59,16 @@ CLOSE = ("se", "q_measured")
 TOL = 1e-9
 
 
-def _rows(text: str) -> list[dict]:
-    lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
-    keys = CSV_HEADER.split(",")
-    return [dict(zip(keys, line.split(","))) for line in lines[1:]]
-
-
 def _assert_run_matches(tmp_path, cfg: Path, trials: int, golden: Path):
     assert cli_main(["run", str(cfg), "--trials", str(trials), "--seed", "42",
                      "--out", str(tmp_path)]) == 0
-    got = _rows((tmp_path / "results.csv").read_text())
-    want = _rows(golden.read_text())
+    got = read_rows((tmp_path / "results.csv").read_text())
+    want = read_rows(golden.read_text())
     assert len(got) == len(want) == 2 * trials
+    # The golden's own columns, by name: each has a rule, and every rule
+    # has its column.  Columns added to the output since are not compared.
+    ruled = set(EXACT) | set(CLOSE)
+    assert ruled <= set(want[0]) <= ruled | {"time_ms"}, list(want[0])
     for g, w in zip(got, want):
         for key in EXACT:
             assert g[key] == w[key], (key, g, w)

@@ -30,11 +30,15 @@ from .theory import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; the fields are the config file's keys.  However it
+    is made, the constructor checks it by building what a trial builds from
+    it, and turns any failure into a `ConfigError`."""
+
     n: int
     r: int
     alpha: int
     lambda_diag: tuple[float, ...]
-    noise_kind: str          # "missing" | "sddc"
+    noise_kind: str
     q_gen: float
     s: int
     rho: int
@@ -43,28 +47,36 @@ class ExperimentConfig:
     thresh: float
     trials: int
     base_seed: int
-    basis_kind: str          # "sparse" | "random"
+    basis_kind: str
 
     def __post_init__(self):
-        if self.noise_kind not in ("missing", "sddc"):
-            raise ConfigError(f"noise_kind must be 'missing' or 'sddc', got {self.noise_kind!r}")
-        if self.basis_kind not in ("sparse", "random"):
-            raise ConfigError(f"basis_kind must be 'sparse' or 'random', got {self.basis_kind!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be non-negative")
         object.__setattr__(self, "lambda_diag", tuple(float(x) for x in self.lambda_diag))
+        try:
+            _build_model(self, np.random.default_rng(self.base_seed))
+            _block_noise(self, 0)
+            detect_cluster(self.lambda_diag, self.g_hat, effective_thresh(self))
+        except DdnPcaError as exc:
+            raise ConfigError(str(exc)) from None
 
 
-_INT_KEYS = ("n", "r", "alpha", "s", "rho", "beta_tilde", "trials", "base_seed")
-_FLOAT_KEYS = ("q_gen", "g_hat", "thresh")
-_STR_KEYS = ("noise_kind", "basis_kind")
-_ALL_KEYS = set(_INT_KEYS) | set(_FLOAT_KEYS) | set(_STR_KEYS) | {"lambda_diag"}
+# field type -> (reader of a config value, what a bad value was expected to be)
+_READERS = {
+    int: (int, "expected integer"),
+    float: (float, "expected number"),
+    tuple[float, ...]: (lambda text: tuple(map(float, text.split(","))),
+                        "expected comma-separated numbers"),
+    str: (str, None),
+}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a flat `key = value` config file; `#` starts a comment."""
+    """Parse a flat `key = value` config file; `#` starts a comment.  The
+    keys and types are `ExperimentConfig`'s fields; errors name the file."""
+    hints = typing.get_type_hints(ExperimentConfig)
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -74,42 +86,27 @@ def parse_config(path) -> ExperimentConfig:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _ALL_KEYS:
+            if key not in hints:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value
 
-    missing = sorted(_ALL_KEYS - raw.keys())
+    missing = sorted(hints.keys() - raw.keys())
     if missing:
         raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
 
-    kwargs: dict = {}
-    for key in _INT_KEYS:
+    kwargs = {}
+    for key, kind in hints.items():
+        read, expected = _READERS[kind]
         try:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = read(raw[key])
         except ValueError:
-            raise ConfigError(f"{path}: key {key!r}: expected integer, got {raw[key]!r}") from None
-    for key in _FLOAT_KEYS:
-        try:
-            kwargs[key] = float(raw[key])
-        except ValueError:
-            raise ConfigError(f"{path}: key {key!r}: expected number, got {raw[key]!r}") from None
+            raise ConfigError(f"{path}: key {key!r}: {expected}, got {raw[key]!r}") from None
     try:
-        kwargs["lambda_diag"] = tuple(float(tok) for tok in raw["lambda_diag"].split(","))
-    except ValueError:
-        raise ConfigError(f"{path}: key 'lambda_diag': expected comma-separated numbers") from None
-    for key in _STR_KEYS:
-        kwargs[key] = raw[key]
-    try:
-        cfg = ExperimentConfig(**kwargs)
-        # The rest is checked where a trial checks it: by building its objects.
-        _build_model(cfg, np.random.default_rng(cfg.base_seed))
-        _block_noise(cfg, 0)
-        detect_cluster(cfg.lambda_diag, cfg.g_hat, effective_thresh(cfg))
-    except DdnPcaError as exc:
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -188,28 +185,19 @@ def _block_noise(cfg: ExperimentConfig, first_run: int):
     )
     if cfg.noise_kind == "missing":
         return datagen.MissingNoiseModel(schedule)
-    return datagen.SddcNoiseModel(cfg.q_gen, schedule)
+    if cfg.noise_kind == "sddc":
+        return datagen.SddcNoiseModel(cfg.q_gen, schedule)
+    raise ConfigError(f"noise_kind must be 'missing' or 'sddc', got {cfg.noise_kind!r}")
 
 
 def _build_model(cfg: ExperimentConfig, rng: np.random.Generator) -> datagen.SignalModel:
     if cfg.basis_kind == "sparse":
         P = datagen.sparse_basis(cfg.n, cfg.r)
-    else:
+    elif cfg.basis_kind == "random":
         P = datagen.random_basis(cfg.n, cfg.r, rng)
+    else:
+        raise ConfigError(f"basis_kind must be 'sparse' or 'random', got {cfg.basis_kind!r}")
     return datagen.SignalModel(P=P, lam=np.asarray(cfg.lambda_diag))
-
-
-def trial_components(cfg: ExperimentConfig, trial_index: int):
-    """Ground truth, block stream, and effective threshold for one trial.
-
-    Everything downstream of the returned stream is deterministic in
-    (cfg, base_seed + trial_index).
-    """
-    seed = cfg.base_seed + trial_index
-    rng = np.random.default_rng(seed)
-    model = _build_model(cfg, rng)
-    stream = _BlockStream(model, cfg, rng)
-    return model, stream, effective_thresh(cfg), seed
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
@@ -227,7 +215,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     rows, and the blocks the cluster estimator draws later are generated
     outside its clock.
     """
-    model, stream, thresh, seed = trial_components(cfg, trial_index)
+    seed = cfg.base_seed + trial_index
+    rng = np.random.default_rng(seed)
+    model = _build_model(cfg, rng)
+    stream = _BlockStream(model, cfg, rng)
+    thresh = effective_thresh(cfg)
     Y1 = next(stream)
 
     t0 = time.perf_counter()
@@ -303,16 +295,9 @@ def summary_to_csv(summary: list[MethodSummary]) -> str:
     return _to_csv(summary, MethodSummary)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir,
-                   trials: int | None = None,
-                   base_seed: int | None = None) -> tuple[list[TrialRecord], list[MethodSummary]]:
+def run_experiment(cfg: ExperimentConfig,
+                   out_dir) -> tuple[list[TrialRecord], list[MethodSummary]]:
     """Run all trials serially (order-stable), write results.csv / summary.csv."""
-    if trials is not None or base_seed is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            trials=trials if trials is not None else cfg.trials,
-            base_seed=base_seed if base_seed is not None else cfg.base_seed,
-        )
     records: list[TrialRecord] = []
     for i in range(cfg.trials):
         records.extend(run_trial(cfg, i))
@@ -360,11 +345,16 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     zeta is auto-chosen as the largest value admissible for each calculator;
     the clustering figures come from partitioning lambda_diag at the g
     implied by the configured g_hat through the setting rule
-    g_hat = 1.01*g + 0.0001.
+    g_hat = 1.01*g + 0.0001.  q is `q_gen` on the sddc channel, where it
+    bounds ||M_st P||; on the missing channel it is ||I_T' P|| as trial 0's
+    first block measures it, since that channel has no q knob.
     """
-    lam = np.asarray(cfg.lambda_diag)
-    f = float(lam[0] / lam[-1])
-    q = cfg.q_gen
+    rng = np.random.default_rng(cfg.base_seed)
+    model = _build_model(cfg, rng)
+    noise = _block_noise(cfg, 0)
+    lam, f, q = model.lam, model.f, cfg.q_gen
+    if isinstance(noise, datagen.MissingNoiseModel):
+        _, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
     lines = [f"n={cfg.n} r={cfg.r} f={f:g} q={q:g} eta={datagen.ETA:g} (uniform coefficients)"]
 
     zeta1 = 0.01 / cfg.r

@@ -13,17 +13,11 @@ import numpy as np
 import pytest
 
 from csv_rows import read_rows
-from ddnpca.bench import (
-    block_sum_bound_sweep,
-    parse_config,
-    run_experiment,
-    sin_theta_sweep,
-    trial_components,
-)
+from ddnpca import bench
+from ddnpca.bench import block_sum_bound_sweep, parse_config, run_experiment, sin_theta_sweep
 from ddnpca.cli import main as cli_main
 from ddnpca.datagen import SignalModel, SupportSchedule, sample_coefficients, sparse_basis
-from ddnpca.errors import ScheduleError
-from ddnpca.estimators import block_eig, cluster_evd
+from ddnpca.errors import DdnPcaError, ScheduleError
 from ddnpca.linalg import spectral_norm, sym_eig
 from ddnpca.spectrum import g_partition
 from ddnpca.theory import (
@@ -48,20 +42,36 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def expt1_runs(tmp_path_factory):
     """Two full CLI runs of the bundled config (criterion 10 needs both);
-    the first run's records/CSV also serve criteria 1 and 2."""
+    the first run's CSV also serves criterion 1, and what its cluster_evd
+    calls found, (vartheta_hat, cluster_sizes) or the error raised, serves
+    criterion 2."""
     cfg = parse_config(EXPT1_CFG)
     dirs = [tmp_path_factory.mktemp("run_a"), tmp_path_factory.mktemp("run_b")]
-    start = time.perf_counter()
-    rc = cli_main(["run", str(EXPT1_CFG), "--seed", "42", "--out", str(dirs[0])])
-    elapsed = time.perf_counter() - start
+    found = []
+    cluster_evd = bench.cluster_evd
+
+    def recording_cluster_evd(*args, **kwargs):
+        try:
+            result = cluster_evd(*args, **kwargs)
+        except DdnPcaError as exc:
+            found.append(exc)
+            raise
+        found.append((result.vartheta_hat, result.cluster_sizes))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "cluster_evd", recording_cluster_evd)
+        start = time.perf_counter()
+        rc = cli_main(["run", str(EXPT1_CFG), "--seed", "42", "--out", str(dirs[0])])
+        elapsed = time.perf_counter() - start
     assert rc == 0
     assert cli_main(["run", str(EXPT1_CFG), "--seed", "42", "--out", str(dirs[1])]) == 0
     csvs = [(d / "results.csv").read_text() for d in dirs]
-    return cfg, csvs, elapsed
+    return cfg, csvs, elapsed, found
 
 
 def test_criterion_1_expt1_reproduction(expt1_runs):
-    cfg, csvs, elapsed = expt1_runs
+    cfg, csvs, elapsed, _ = expt1_runs
     rows = read_rows(csvs[0])
     means = {}
     for method in ("evd", "cluster_evd"):
@@ -75,14 +85,9 @@ def test_criterion_1_expt1_reproduction(expt1_runs):
 
 
 def test_criterion_2_cluster_detection(expt1_runs):
-    cfg, _, _ = expt1_runs
-    hits = 0
-    for i in range(cfg.trials):
-        model, stream, thresh, _ = trial_components(cfg, i)
-        res = cluster_evd(block_eig(next(stream)), stream, cfg.g_hat, thresh,
-                          max_clusters=cfg.r)
-        if res.vartheta_hat == 2 and res.cluster_sizes == (3, 2):
-            hits += 1
+    cfg, _, _, found = expt1_runs
+    assert len(found) == cfg.trials
+    hits = sum(1 for entry in found if entry == (2, (3, 2)))
     frac = hits / cfg.trials
     report(2, "cluster detection rate", frac >= 0.9,
            f"vartheta=2 with sizes (3,2) in {100 * frac:.1f}% of trials (need >= 90%)")
@@ -197,7 +202,7 @@ def test_criterion_9_theory_calculators():
 
 
 def test_criterion_10_determinism(expt1_runs):
-    _, csvs, _ = expt1_runs
+    _, csvs, _, _ = expt1_runs
 
     def strip_time(text):
         rows = [{k: v for k, v in row.items() if k != "time_ms"} for row in read_rows(text)]

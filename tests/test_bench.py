@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import re
 import time
 from pathlib import Path
@@ -84,55 +85,95 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'n'"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("n", "five", "expected integer"),
+        ("q_gen", "small", "expected number"),
+        ("lambda_diag", "100, 100; 0.1", "expected comma-separated numbers"),
+    ])
+    def test_bad_value_names_expected_type(self, tmp_path, key, value, expected):
+        path = expt1_with(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: key {key!r}: {expected}, got")):
+            parse_config(path)
+
+    def test_readme_lists_every_key(self):
+        # the key table under README "Config format" documents every field
+        readme = (REPO / "README.md").read_text()
+        section = readme.split("## Config format\n", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
 
 def expt1_with(tmp_path, **values) -> Path:
     """A copy of configs/expt1.cfg with the given keys' values replaced."""
     lines = []
     for line in (CONFIG_DIR / "expt1.cfg").read_text().splitlines():
         key = line.split("=", 1)[0].strip()
-        lines.append(f"{key} = {values[key]}" if key in values else line)
+        if key in values:
+            value = values[key]
+            line = f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}"
+        lines.append(line)
     path = tmp_path / "edited.cfg"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-class TestParseConfigBuildsTrialObjects:
-    """parse_config checks a config by building what a trial builds from it:
-    every failure is a ConfigError that names the file."""
+# (id, values replaced in expt1) of configs that must be rejected
+DOMAIN_CASES = [
+    ("lam-zero", dict(lambda_diag=(100, 100, 100, 0.1, 0))),
+    ("lam-increasing", dict(lambda_diag=(100, 100, 100, 0.1, 0.2))),
+    ("lam-length", dict(lambda_diag=(100, 100, 100, 0.1))),
+    ("r-above-n", dict(n=4)),
+    ("n", dict(n=0)),
+    ("r", dict(r=0)),
+    ("alpha", dict(alpha=0)),
+    ("s", dict(s=0)),
+    ("rho", dict(rho=0)),
+    ("beta_tilde", dict(beta_tilde=0)),
+    ("q_gen-negative", dict(q_gen=-0.01)),
+    ("g_hat-below-1", dict(g_hat=0.5)),
+    ("thresh-zero", dict(thresh=0)),
+    ("alpha-schedule", dict(alpha=400)),  # block 0's schedule fails validation
+    ("noise_kind-unknown", dict(noise_kind="gaussian")),
+]
+NON_FINITE_CASES = [
+    ("q_gen-nan", dict(q_gen=math.nan)),
+    ("q_gen-inf", dict(q_gen=math.inf)),
+    ("thresh-nan", dict(thresh=math.nan)),
+    ("g_hat-nan", dict(g_hat=math.nan)),
+    ("lam-nan", dict(lambda_diag=(100, 100, 100, 0.1, math.nan))),
+    ("lam-inf", dict(lambda_diag=(math.inf, 100, 100, 0.1, 0.1))),
+]
 
-    @pytest.mark.parametrize("values", [
-        dict(lambda_diag="100, 100, 100, 0.1, 0"),
-        dict(lambda_diag="100, 100, 100, 0.1, 0.2"),
-        dict(lambda_diag="100, 100, 100, 0.1"),
-        dict(n=4),
-        dict(n=0),
-        dict(r=0),
-        dict(alpha=0),
-        dict(s=0),
-        dict(rho=0),
-        dict(beta_tilde=0),
-        dict(q_gen=-0.01),
-        dict(g_hat=0.5),
-        dict(thresh=0),
-    ], ids=["lam-zero", "lam-increasing", "lam-length", "r-above-n", "n", "r", "alpha",
-            "s", "rho", "beta_tilde", "q_gen-negative", "g_hat-below-1", "thresh-zero"])
+
+def cases(table):
+    return pytest.mark.parametrize("values", [v for _, v in table], ids=[i for i, _ in table])
+
+
+class TestParseConfigBuildsTrialObjects:
+    """ExperimentConfig checks a config by building what a trial builds from
+    it: every failure is a ConfigError, and parse_config's names the file."""
+
+    @cases(DOMAIN_CASES)
     def test_domain_check_rejects(self, tmp_path, values):
         path = expt1_with(tmp_path, **values)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
             parse_config(path)
 
-    @pytest.mark.parametrize("values", [
-        dict(q_gen="nan"),
-        dict(q_gen="inf"),
-        dict(thresh="nan"),
-        dict(g_hat="nan"),
-        dict(lambda_diag="100, 100, 100, 0.1, nan"),
-        dict(lambda_diag="inf, 100, 100, 0.1, 0.1"),
-    ], ids=["q_gen-nan", "q_gen-inf", "thresh-nan", "g_hat-nan", "lam-nan", "lam-inf"])
+    @cases(NON_FINITE_CASES)
     def test_non_finite_rejects(self, tmp_path, values):
         path = expt1_with(tmp_path, **values)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
             parse_config(path)
+
+    @cases(DOMAIN_CASES + NON_FINITE_CASES)
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    def test_constructor_rejects(self, values, build):
+        expt1 = parse_config(CONFIG_DIR / "expt1.cfg")
+        with pytest.raises(ConfigError):
+            if build == "direct":
+                ExperimentConfig(**{**dataclasses.asdict(expt1), **values})
+            else:
+                dataclasses.replace(expt1, **values)
 
     def test_infinite_caps_stay_valid(self, tmp_path):
         # g_hat = inf makes one cluster; thresh = inf is capped by the derating
@@ -270,11 +311,6 @@ class TestRunExperiment:
         assert len(lines) == 1 + 2 * 2
         assert (tmp_path / "out" / "summary.csv").exists()
 
-    def test_override_trials_and_seed(self, tmp_path):
-        records, _ = run_experiment(small_cfg(), tmp_path, trials=2, base_seed=99)
-        assert len(records) == 4
-        assert records[0].seed == 99
-
     def test_failed_trial_recorded_not_raised(self, tmp_path):
         # overwhelming corruption keeps every deflated spectrum above the stop
         # threshold, so the cluster loop exhausts its block budget and the
@@ -367,6 +403,19 @@ class TestCli:
         worst = max(float(row["q_measured"]) for row in rows)
         assert f"worst q_measured={worst:.6g}\n" in out
 
+    def test_run_overrides_trials_and_seed(self, tmp_path):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(
+            "n = 40\nr = 3\nalpha = 60\nlambda_diag = 16, 4, 1\nnoise_kind = sddc\n"
+            "q_gen = 0.01\ns = 3\nrho = 3\nbeta_tilde = 1\ng_hat = 2.5\nthresh = 0.4\n"
+            "trials = 3\nbase_seed = 11\nbasis_kind = sparse\n"
+        )
+        assert main(["run", str(path), "--trials", "2", "--seed", "99",
+                     "--out", str(tmp_path / "out")]) == 0
+        rows = read_rows((tmp_path / "out" / "results.csv").read_text())
+        assert len(rows) == 4
+        assert rows[0]["seed"] == "99"
+
     def test_run_reports_derated_threshold(self, tmp_path, capsys):
         rc = main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "1",
                    "--out", str(tmp_path)])
@@ -396,6 +445,17 @@ class TestCli:
         assert main(["bounds", str(CONFIG_DIR / "expt1.cfg")]) == 0
         out = capsys.readouterr().out
         assert "alpha0" in out and "vartheta=2" in out
+
+    def test_bounds_q_on_missing_channel_is_trial_0s(self, tmp_path, capsys):
+        # the missing channel reads no q_gen: its q is the ||I_T' P|| that
+        # trial 0's first block measures, on the trial's own random basis
+        path = expt1_with(tmp_path, noise_kind="missing", basis_kind="random", trials=1)
+        assert main(["bounds", str(path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = read_rows((tmp_path / "out" / "results.csv").read_text())
+        assert f" q={float(rows[0]['q_measured']):g} " in first
+        assert " q=0.01 " not in first
 
     def test_verify_subcommand_small(self, capsys):
         rc = main(["verify", "--draws", "3", "--instances", "25", "--seed", "0"])

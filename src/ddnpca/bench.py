@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
 import typing
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,11 +30,28 @@ from .theory import (
 )
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# field type -> (reader of a config value, test of a field value, what a bad
+# value was expected to be)
+_READERS = {
+    int: (int, lambda value: _is_number(value, numbers.Integral), "expected integer"),
+    float: (float, _is_number, "expected number"),
+    tuple[float, ...]: (lambda text: tuple(map(float, text.split(","))),
+                        lambda value: isinstance(value, Sequence) and not isinstance(value, str)
+                        and all(map(_is_number, value)), "expected comma-separated numbers"),
+    str: (str, lambda value: isinstance(value, str), "expected string"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment; the fields are the config file's keys.  However it
-    is made, the constructor checks it by building what a trial builds from
-    it, and turns any failure into a `ConfigError`."""
+    is made, the constructor checks each field's type against its
+    annotation, then checks the values by building what a trial builds from
+    them, and turns any failure into a `ConfigError`."""
 
     n: int
     r: int
@@ -50,6 +69,10 @@ class ExperimentConfig:
     basis_kind: str
 
     def __post_init__(self):
+        for key, kind in _FIELD_TYPES.items():
+            _, accepts, expected = _READERS[kind]
+            if not accepts(value := getattr(self, key)):
+                raise ConfigError(f"key {key!r}: {expected}, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.base_seed < 0:
@@ -63,20 +86,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
 
-# field type -> (reader of a config value, what a bad value was expected to be)
-_READERS = {
-    int: (int, "expected integer"),
-    float: (float, "expected number"),
-    tuple[float, ...]: (lambda text: tuple(map(float, text.split(","))),
-                        "expected comma-separated numbers"),
-    str: (str, None),
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a flat `key = value` config file; `#` starts a comment.  The
     keys and types are `ExperimentConfig`'s fields; errors name the file."""
-    hints = typing.get_type_hints(ExperimentConfig)
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -86,19 +101,19 @@ def parse_config(path) -> ExperimentConfig:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
-            if key not in hints:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value
 
-    missing = sorted(hints.keys() - raw.keys())
+    missing = sorted(_FIELD_TYPES.keys() - raw.keys())
     if missing:
         raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
 
     kwargs = {}
-    for key, kind in hints.items():
-        read, expected = _READERS[kind]
+    for key, kind in _FIELD_TYPES.items():
+        read, _, expected = _READERS[kind]
         try:
             kwargs[key] = read(raw[key])
         except ValueError:
@@ -142,39 +157,23 @@ def effective_thresh(cfg: ExperimentConfig) -> float:
     return min(cfg.thresh, 0.5 * min(cfg.lambda_diag))
 
 
-class _BlockStream:
-    """Iterator over one trial's observation blocks, generated on demand.
+def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Generator,
+            drawn: list[tuple[float, float]]):
+    """One trial's observation blocks, generated on demand; appends each
+    block's (measured q, generation ms) to `drawn`.
 
     Block k gets its own support schedule, shifted to continue the motion of
     block k-1; every block's schedule is validated on its own, matching the
     per-batch form in which the correlation budget is consumed.  Endless:
     the consumer bounds it (the harness caps cluster_evd at cfg.r blocks).
-    Tracks the worst measured q and the time spent generating.
     """
-
-    def __init__(self, model: datagen.SignalModel, cfg: ExperimentConfig,
-                 rng: np.random.Generator):
-        self._model = model
-        self._cfg = cfg
-        self._rng = rng
-        self._first_run = 0  # of the motion, for the next block's schedule
-        self.q_measured = 0.0
-        self.gen_ms = 0.0  # wall time spent building blocks
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.ndarray:
-        cfg = self._cfg
+    first_run = 0  # of the motion, for the next block's schedule
+    while True:
         t0 = time.perf_counter()
-        try:
-            noise = _block_noise(cfg, self._first_run)
-            Y, _, q = datagen.generate_dataset(self._model, noise, cfg.alpha, self._rng)
-        finally:
-            self.gen_ms += (time.perf_counter() - t0) * 1e3
-        self._first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
-        self.q_measured = max(self.q_measured, q)
-        return Y
+        Y, _, q = datagen.generate_dataset(model, _block_noise(cfg, first_run), cfg.alpha, rng)
+        drawn.append((q, (time.perf_counter() - t0) * 1e3))
+        first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
+        yield Y
 
 
 def _block_noise(cfg: ExperimentConfig, first_run: int):
@@ -206,9 +205,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     The trial's randomness derives from base_seed + trial_index alone.  The
     first block is decomposed once: the one-shot estimator uses that
     decomposition alone, and the cluster estimator starts from it and draws
-    later blocks from the stream.  Estimator failures are recorded
+    later blocks from `_blocks`.  Estimator failures are recorded
     (se=None), not raised; when the first block cannot be decomposed, both
-    rows fail.
+    rows fail.  A row's q_measured is the largest over the blocks drawn by
+    the time it is recorded: block 1's for evd, and for cluster_evd the
+    largest over the blocks it drew.
 
     Each row's time_ms is what its method would cost alone, without data
     generation: the shared first-block decomposition is charged to both
@@ -218,9 +219,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     seed = cfg.base_seed + trial_index
     rng = np.random.default_rng(seed)
     model = _build_model(cfg, rng)
-    stream = _BlockStream(model, cfg, rng)
+    drawn: list[tuple[float, float]] = []
+    blocks = _blocks(model, cfg, rng, drawn)
     thresh = effective_thresh(cfg)
-    Y1 = next(stream)
+    Y1 = next(blocks)
 
     t0 = time.perf_counter()
     try:
@@ -230,7 +232,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     shared_ms = (time.perf_counter() - t0) * 1e3
 
     def record(method, estimate) -> TrialRecord:
-        gen0, t0 = stream.gen_ms, time.perf_counter()
+        drawn_before, t0 = len(drawn), time.perf_counter()
         try:
             if first_error is not None:
                 raise first_error
@@ -240,18 +242,18 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
         except DdnPcaError:
             t1 = time.perf_counter()
             se, vartheta_hat, rank_hat = None, 0, 0
-        elapsed = shared_ms + (t1 - t0) * 1e3 - (stream.gen_ms - gen0)
+        elapsed = shared_ms + (t1 - t0) * 1e3 - sum(ms for _, ms in drawn[drawn_before:])
         return TrialRecord(
             trial=trial_index, method=method, se=se, time_ms=elapsed,
             vartheta_hat=vartheta_hat, rank_hat=rank_hat,
-            q_measured=stream.q_measured, seed=seed,
+            q_measured=max(q for q, _ in drawn), seed=seed,
         )
 
     def evd():
         return simple_evd(eig1, thresh), 1
 
     def cluster():
-        result = cluster_evd(eig1, stream, cfg.g_hat, thresh, max_clusters=cfg.r)
+        result = cluster_evd(eig1, blocks, cfg.g_hat, thresh, max_clusters=cfg.r)
         return result.P_hat, result.vartheta_hat
 
     return [record("evd", evd), record("cluster_evd", cluster)]

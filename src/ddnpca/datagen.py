@@ -54,16 +54,8 @@ class SignalModel:
         return float(self.lam[0] / self.lam[-1])
 
 
-def sample_coefficients(model: SignalModel, rng: np.random.Generator) -> np.ndarray:
-    """One coefficient vector: entry j zero mean with variance lam_j.
-
-    Uniform law on [-sqrt(ETA lam_j), +sqrt(ETA lam_j)]: variance lam_j,
-    boundedness factor ETA = 3.
-    """
-    return _coefficient_matrix(model, 1, rng)[:, 0]
-
-
 def _coefficient_matrix(model: SignalModel, alpha: int, rng: np.random.Generator) -> np.ndarray:
+    # Entry (j, t) uniform on [-sqrt(ETA lam_j), sqrt(ETA lam_j)], variance lam_j.
     # One batch draw, row-major fill; keeps the stream order reproducible.
     half_width = np.sqrt(ETA * model.lam)
     return (2.0 * rng.random((model.r, alpha)) - 1.0) * half_width[:, None]

@@ -109,8 +109,7 @@ def block_eig(Y, G=None) -> BlockEig:
 
 
 def _alpha_gram(Z: np.ndarray) -> np.ndarray:
-    K = (Z.T @ Z) / Z.shape[1]
-    return (K + K.T) / 2.0
+    return (Z.T @ Z) / Z.shape[1]
 
 
 def simple_evd(eig: BlockEig, thresh: float) -> np.ndarray:

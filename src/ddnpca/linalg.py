@@ -117,8 +117,7 @@ def empirical_covariance(Y) -> np.ndarray:
     n, alpha = Y.shape
     if alpha < 1:
         raise DimensionError("Y must have at least one column")
-    C = (Y @ Y.T) / alpha
-    return (C + C.T) / 2.0
+    return (Y @ Y.T) / alpha
 
 
 def sin_theta_bound(lambda_min_a: float, lambda_max_aperp: float, h_norm: float) -> float:

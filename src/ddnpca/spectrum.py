@@ -20,7 +20,6 @@ class ClusterPartition:
     """
 
     sizes: tuple[int, ...]
-    g: float      # the ratio cap the partition was built with
     g_eff: float  # max within-cluster ratio top/bottom
     chi: float    # max ratio of one cluster's top to the previous cluster's bottom; 0 for one
     f: float      # overall condition number over the nonzero eigenvalues; may be inf
@@ -85,5 +84,4 @@ def g_partition(eigenvalues, g: float) -> ClusterPartition:
 
     with np.errstate(over="ignore"):  # a range past the float range gives f = inf
         f = float(lam[0] / lam[nz - 1])
-    return ClusterPartition(sizes=tuple(sizes), g=float(g), g_eff=float(g_eff),
-                            chi=float(chi), f=f)
+    return ClusterPartition(sizes=tuple(sizes), g_eff=float(g_eff), chi=float(chi), f=f)

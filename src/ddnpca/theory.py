@@ -12,7 +12,7 @@ import numpy as np
 from .datagen import SupportSchedule
 from .errors import DimensionError, ParameterError, PsdError
 from .linalg import (
-    empirical_covariance,
+    empirical_covariance,  # unused here, but perfbench traces ddnpca.theory.empirical_covariance
     sin_theta_bound,
     spectral_norm,
     subspace_error,
@@ -165,31 +165,6 @@ def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
     lhs = float(max(abs(ws[0]), abs(ws[-1])))
     rhs = schedule.beta * max_norm
     return lhs, rhs, lhs <= rhs + 1e-9
-
-
-def perturbation_decomposition(Y, L) -> tuple[float, float, float]:
-    """Split the covariance perturbation into its signal-noise cross term and
-    pure noise term.
-
-    Returns (cross, noise, H_norm) with w_t := y_t - ell_t,
-    cross = ||(1/alpha) sum ell_t w_t'||, noise = ||(1/alpha) sum w_t w_t'||,
-    H_norm = ||cov(Y) - cov(L)||.  The triangle bound
-    H_norm <= 2*cross + noise is re-verified on every call.
-    """
-    Y = np.asarray(Y, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if Y.shape != L.shape or Y.ndim != 2:
-        raise DimensionError(f"shape mismatch: {Y.shape} vs {L.shape}")
-    alpha = Y.shape[1]
-    W = Y - L
-    cross = spectral_norm(L @ W.T / alpha)
-    noise = spectral_norm(W @ W.T / alpha)
-    h_norm = spectral_norm(empirical_covariance(Y) - empirical_covariance(L))
-    if h_norm > 2.0 * cross + noise + 1e-9:
-        raise ArithmeticError(
-            f"perturbation split inconsistent: {h_norm} > 2*{cross} + {noise}"
-        )
-    return cross, noise, h_norm
 
 
 def sin_theta_gap_check(A_full, H, r: int) -> tuple[float, float]:

@@ -145,6 +145,22 @@ NON_FINITE_CASES = [
 ]
 
 
+# (key, value) of expt1 fields set to a value of the wrong type, and the
+# kind the error must say was expected
+TYPE_CASES = [
+    ("n", 500.5, "expected integer"),
+    ("n", True, "expected integer"),
+    ("alpha", 300.0, "expected integer"),
+    ("trials", "3", "expected integer"),
+    ("g_hat", "3", "expected number"),
+    ("q_gen", "0.01", "expected number"),
+    ("thresh", None, "expected number"),
+    ("lambda_diag", "100,100,100,0.1,0.1", "expected comma-separated numbers"),
+    ("lambda_diag", (100, 100, 100, 0.1, None), "expected comma-separated numbers"),
+    ("basis_kind", 1, "expected string"),
+]
+
+
 def cases(table):
     return pytest.mark.parametrize("values", [v for _, v in table], ids=[i for i, _ in table])
 
@@ -190,6 +206,30 @@ class TestParseConfigBuildsTrialObjects:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "cover" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigFieldTypes:
+    """The constructor checks each field's type before it builds anything,
+    and names the key in parse_config's form."""
+
+    @pytest.mark.parametrize("key, value, expected", TYPE_CASES,
+                             ids=[f"{k}-{v!r}" for k, v, _ in TYPE_CASES])
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    def test_wrong_type_names_key(self, key, value, expected, build):
+        expt1 = parse_config(CONFIG_DIR / "expt1.cfg")
+        message = f"^key {key!r}: {expected}, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            if build == "direct":
+                ExperimentConfig(**{**dataclasses.asdict(expt1), key: value})
+            else:
+                dataclasses.replace(expt1, **{key: value})
+
+    def test_numeric_kinds_accepted(self):
+        expt1 = parse_config(CONFIG_DIR / "expt1.cfg")
+        cfg = dataclasses.replace(expt1, n=np.int64(500), q_gen=0, thresh=np.float64(0.095),
+                                  lambda_diag=[100, 100, 100, 0.1, 0.1])
+        assert cfg.n == 500 and cfg.q_gen == 0
+        assert cfg.lambda_diag == (100.0, 100.0, 100.0, 0.1, 0.1)
 
 
 class TestEffectiveThresh:
@@ -525,11 +565,8 @@ class TestProductReachability:
     referenced somewhere in `src/` outside its own definition, so code that
     only tests reach shows up here."""
 
-    # Each exception is an open ROADMAP item, not a permanent exemption.
-    ALLOWED = (
-        "perturbation_decomposition",  # item 4: becomes a per-trial column
-        "sample_coefficients",         # acceptance criterion 8 checks the coefficient law
-    )
+    # Each exception would be an open ROADMAP item, not a permanent exemption.
+    ALLOWED = ()
 
     @staticmethod
     def unreferenced():
@@ -556,3 +593,25 @@ class TestProductReachability:
         # an exception that the product now reaches must leave the list
         found = {m.split(":")[1] for m in self.unreferenced()}
         assert set(self.ALLOWED) <= found
+
+
+class TestNoUnusedImports:
+    """Every name a `src/ddnpca` module imports is used in that module,
+    unless the benchmark traces it there, so an import that a deletion
+    leaves behind shows up here."""
+
+    def test_every_import_is_used(self):
+        traced = set(TestPerfbenchNames.wrapped_names())
+        unused = []
+        for path in sorted((REPO / "src" / "ddnpca").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            imported = [alias.asname or alias.name.split(".")[0]
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        for alias in node.names]
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            module = f"ddnpca.{path.stem}"
+            unused += [f"{module}.{name}" for name in imported
+                       if name not in used and (module, name) not in traced]
+        assert unused == []

@@ -17,7 +17,6 @@ from ddnpca.datagen import (
     generate_dataset,
     generate_support_schedule,
     random_basis,
-    sample_coefficients,
     sparse_basis,
     verify_schedule_conditions,
 )
@@ -50,10 +49,12 @@ class TestSignalModel:
 
 
 class TestSampleCoefficients:
+    """One coefficient vector: the coefficient law drawn as a one-column batch."""
+
     def test_support_and_moments(self):
         model = SignalModel(P=sparse_basis(3, 2), lam=np.array([1.0, 1.0]))
         rng = np.random.default_rng(0)
-        draws = np.array([sample_coefficients(model, rng) for _ in range(100_000)])
+        draws = np.array([_coefficient_matrix(model, 1, rng)[:, 0] for _ in range(100_000)])
         assert np.all(np.abs(draws) <= np.sqrt(3.0) + 1e-12)
         var = draws.var(axis=0)
         assert np.all(var >= 0.97) and np.all(var <= 1.03)
@@ -66,7 +67,7 @@ class TestSampleCoefficients:
         lam = np.sort(np.random.default_rng(seed).uniform(0.1, 10.0, size=r))[::-1]
         model = SignalModel(P=sparse_basis(r + 1, r), lam=lam)
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        a = sample_coefficients(model, rng_a)
+        a = _coefficient_matrix(model, 1, rng_a)[:, 0]
         np.testing.assert_array_equal(a, (2.0 * rng_b.random(r) - 1.0) * np.sqrt(3.0 * lam))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -76,7 +77,7 @@ class TestSampleCoefficients:
         rng = np.random.default_rng(1)
         worst = 0.0
         for _ in range(100_000):
-            a = sample_coefficients(model, rng)
+            a = _coefficient_matrix(model, 1, rng)[:, 0]
             worst = max(worst, np.max(a * a / lam))
         assert worst <= 3.0 + 1e-12
 

@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddnpca import bench
-from ddnpca.datagen import SddcNoiseModel, SignalModel, SupportSchedule, generate_dataset, \
-    generate_support_schedule, sparse_basis
+from ddnpca.datagen import SupportSchedule, generate_support_schedule
 from ddnpca.errors import DimensionError, ParameterError, PsdError, ScheduleError, SpectralGapError
 from ddnpca.theory import (
     BoundInputs,
@@ -15,7 +14,6 @@ from ddnpca.theory import (
     alpha0_simple,
     beta_frac_cluster,
     beta_frac_simple,
-    perturbation_decomposition,
     sin_theta_gap_check,
     verify_m2_bound,
 )
@@ -329,36 +327,6 @@ class TestM2BoundAgainstPerFrame:
             with pytest.raises(PsdError, match=f"^frame {frame}: ") as got:
                 verify_m2_bound(sched, stack)
             assert str(got.value) == str(ref.value)
-
-
-class TestPerturbationDecomposition:
-    def test_no_noise(self):
-        rng = np.random.default_rng(2)
-        L = rng.standard_normal((5, 9))
-        cross, noise, h = perturbation_decomposition(L, L)
-        assert cross == 0.0 and noise == 0.0 and h == 0.0
-
-    def test_rank_one_scalar_expansion(self):
-        e1 = np.eye(3)[:, :1]
-        L = np.tile(e1, (1, 4))
-        Y = 1.1 * L
-        cross, noise, h = perturbation_decomposition(Y, L)
-        assert cross == pytest.approx(0.1, rel=1e-12)
-        assert noise == pytest.approx(0.01, rel=1e-12)
-        assert h == pytest.approx(0.21, rel=1e-12)
-
-    def test_triangle_inequality_on_generated_data(self):
-        model = SignalModel(P=sparse_basis(60, 3), lam=np.array([9.0, 1.0, 0.5]))
-        sched = generate_support_schedule(60, 15, 3, 3, 1)
-        rng = np.random.default_rng(3)
-        Y, A, _ = generate_dataset(model, SddcNoiseModel(0.05, sched), 15, rng)
-        L = model.P @ A
-        cross, noise, h = perturbation_decomposition(Y, L)
-        assert h <= 2 * cross + noise + 1e-9
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            perturbation_decomposition(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestSinThetaGapCheck:

@@ -27,6 +27,7 @@ from .theory import (
     beta_frac_simple,
     sin_theta_gap_check,
     verify_m2_bound,
+    zeta_caps,
 )
 
 
@@ -299,15 +300,13 @@ def summary_to_csv(summary: list[MethodSummary]) -> str:
 
 def run_experiment(cfg: ExperimentConfig,
                    out_dir) -> tuple[list[TrialRecord], list[MethodSummary]]:
-    """Run all trials serially (order-stable), write results.csv / summary.csv."""
-    records: list[TrialRecord] = []
-    for i in range(cfg.trials):
-        records.extend(run_trial(cfg, i))
-    summary = summarize(records)
-
+    """Run all trials serially (order-stable), write results.csv / summary.csv;
+    out_dir is made first, so an unusable one fails before any trial runs."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        records = [rec for i in range(cfg.trials) for rec in run_trial(cfg, i)]
+        summary = summarize(records)
         (out / "results.csv").write_text(records_to_csv(records))
         (out / "summary.csv").write_text(summary_to_csv(summary))
     except OSError as exc:
@@ -344,7 +343,7 @@ def emit_cluster_plot(eigenvalues, partition: ClusterPartition, path) -> None:
 def bounds_report(cfg: ExperimentConfig) -> str:
     """Human-readable calculator outputs for a config.
 
-    zeta is auto-chosen as the largest value admissible for each calculator;
+    zeta is the largest value each calculator admits (`theory.zeta_caps`);
     the clustering figures come from partitioning lambda_diag at the g
     implied by the configured g_hat through the setting rule
     g_hat = 1.01*g + 0.0001.  q is `q_gen` on the sddc channel, where it
@@ -359,7 +358,7 @@ def bounds_report(cfg: ExperimentConfig) -> str:
         _, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
     lines = [f"n={cfg.n} r={cfg.r} f={f:g} q={q:g} eta={datagen.ETA:g} (uniform coefficients)"]
 
-    zeta1 = 0.01 / cfg.r
+    zeta1, *cluster_caps = zeta_caps(cfg.r, f)
     inp1 = BoundInputs(n=cfg.n, r=cfg.r, f=f, q=q, eta=datagen.ETA, zeta=zeta1)
     lines.append(f"[simple-EVD]   zeta={zeta1:.6g}  alpha0={alpha0_simple(inp1):.6g}  "
                  f"beta/alpha<={beta_frac_simple(inp1):.6g}")
@@ -370,7 +369,7 @@ def bounds_report(cfg: ExperimentConfig) -> str:
         f"[clustering]   g={part.g_eff:g} chi={part.chi:g} vartheta={part.vartheta} "
         f"sizes={part.sizes} (partition at g={g_implied:.6g})"
     )
-    zeta2 = min(0.0001 / cfg.r**2, 0.01 / (cfg.r**2 * f))
+    zeta2 = min(cluster_caps)
     inp2 = BoundInputs(
         n=cfg.n, r=cfg.r, f=f, q=q, eta=datagen.ETA, zeta=zeta2,
         r_k=min(part.sizes), g_plus=part.g_eff, chi_plus=part.chi,
@@ -385,6 +384,12 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
+def _check_sweep(count: int, seed: int, name: str):
+    # a sweep of no draws would report [ok] having checked nothing
+    if count < 1 or seed < 0:
+        raise ParameterError(f"need {name} >= 1 and seed >= 0, got {name}={count}, seed={seed}")
+
+
 def block_sum_bound_sweep(draws: int = 1000, seed: int = 0, n: int = 500, alpha: int = 300,
                           s: int = 5, rho: int = 2, beta_tilde: int = 1):
     """Seeded sweep of the block-sum norm bound on generated schedules.
@@ -392,6 +397,7 @@ def block_sum_bound_sweep(draws: int = 1000, seed: int = 0, n: int = 500, alpha:
     Returns (violations, worst_ratio) where worst_ratio is the largest
     lhs/rhs observed.
     """
+    _check_sweep(draws, seed, "draws")
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -415,6 +421,7 @@ def sin_theta_sweep(instances: int = 500, seed: int = 0, max_n: int = 20):
     Returns (checked, vacuous, violations): `vacuous` counts instances whose
     gap net of the perturbation norm was not positive.
     """
+    _check_sweep(instances, seed, "instances")
     rng = np.random.default_rng(seed)
     checked = vacuous = violations = 0
     for _ in range(instances):

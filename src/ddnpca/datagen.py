@@ -124,15 +124,13 @@ class SupportSchedule:
             )
         if not report["condition2"]:
             raise ScheduleError(f"supports rho={self.rho} changes apart are not disjoint")
-        if report["condition3"]:
-            object.__setattr__(self, "condition3_mode", "strict")
-        elif report["cover_bound"]:
-            object.__setattr__(self, "condition3_mode", "cover")
-        else:
+        if not (report["condition3"] or report["cover_bound"]):
             raise ScheduleError(
                 "neither the one-direction motion condition nor the cover bound "
                 f"(max cover {report['max_cover']} > rho^2*beta_tilde = {self.beta}) holds"
             )
+        if not report["condition3"]:
+            object.__setattr__(self, "condition3_mode", "cover")
 
     @property
     def alpha(self) -> int:

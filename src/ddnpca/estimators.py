@@ -26,13 +26,16 @@ class ClusterEvdResult:
 
     P_hat: np.ndarray
     cluster_sizes: tuple[int, ...]
-    vartheta_hat: int
     per_cluster_eigs: tuple[np.ndarray, ...]  # full spectrum of each deflated block
 
     def __post_init__(self):
         if sum(self.cluster_sizes) != self.P_hat.shape[1]:
             raise DimensionError("cluster sizes do not add up to the basis width")
         check_basis(self.P_hat, tol=ACCUMULATED_BASIS_TOL, name="estimated basis")
+
+    @property
+    def vartheta_hat(self) -> int:
+        return len(self.cluster_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +75,7 @@ class BlockEig:
 def deflate(Y, G=None) -> np.ndarray:
     """The block with the detected directions removed: (I - GG') Y, applied
     in factor form as Y - G (G'Y).  An empty G (None or zero columns) gives
-    Y unchanged."""
+    Y's values unchanged."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise DimensionError("Y must be 2-D")
@@ -81,8 +84,6 @@ def deflate(Y, G=None) -> np.ndarray:
     G = check_basis(G, tol=ACCUMULATED_BASIS_TOL, name="G")
     if G.shape[0] != Y.shape[0]:
         raise DimensionError(f"G has {G.shape[0]} rows, Y has {Y.shape[0]}")
-    if G.shape[1] == 0:
-        return Y
     Z = G @ (G.T @ Y)
     return np.subtract(Y, Z, out=Z)  # in place: one n x alpha temporary, not two
 
@@ -99,13 +100,13 @@ def block_eig(Y, G=None) -> BlockEig:
         G = None
     # The deflated block is a temporary: it is released before the eigensolve.
     if n <= alpha:
-        ed = sym_eig(empirical_covariance(deflate(Y, G)))
-        return BlockEig(ed.eigenvalues, Y, G, ed.eigenvectors)
-    ed = sym_eig(_alpha_gram(deflate(Y, G)))
+        w, V = sym_eig(empirical_covariance(deflate(Y, G)))
+        return BlockEig(w, Y, G, V)
+    w, V = sym_eig(_alpha_gram(deflate(Y, G)))
     # sym_eig's order puts every positive eigenvalue ahead of the padding, so
-    # the leading columns of ed.eigenvectors still pair with eigenvalues[:k].
-    w = np.sort(np.concatenate([ed.eigenvalues, np.zeros(n - alpha)]))[::-1]
-    return BlockEig(w, Y, G, ed.eigenvectors)
+    # the leading columns of V still pair with eigenvalues[:k].
+    w = np.sort(np.concatenate([w, np.zeros(n - alpha)]))[::-1]
+    return BlockEig(w, Y, G, V)
 
 
 def _alpha_gram(Z: np.ndarray) -> np.ndarray:
@@ -204,6 +205,5 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
     return ClusterEvdResult(
         P_hat=G,
         cluster_sizes=tuple(sizes),
-        vartheta_hat=len(sizes),
         per_cluster_eigs=tuple(spectra),
     )

@@ -7,8 +7,6 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BasisError, DimensionError, SpectralGapError, SymmetryError
@@ -40,20 +38,9 @@ def check_basis(Q, tol: float = BASIS_TOL, name: str = "basis") -> np.ndarray:
     return Q
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues sorted non-increasing.
-
-    Compares and hashes by identity (an array field has no single truth value).
-    """
-
-    eigenvalues: np.ndarray   # shape (n,), descending
-    eigenvectors: np.ndarray  # shape (n, n), column i pairs with eigenvalues[i]
-
-
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    # Deterministic sign convention: the largest-magnitude entry of each
-    # column is positive; np.argmax resolves ties at the lowest index.
+    # Sign convention: each column's largest-magnitude entry is positive (ties:
+    # lowest index).  The C-ordered copy fixes the bits of later products.
     V = V.copy()
     idx = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[idx, np.arange(V.shape[1])])
@@ -61,8 +48,10 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def sym_eig(M) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, V) of a symmetric matrix, as `np.linalg.eigh`
+    returns it but with w descending; column i of V is the sign-fixed
+    eigenvector of w[i].
 
     The input must be square and symmetric within 1e-10 relative tolerance;
     it is symmetrized before factorization so the reconstruction residual is
@@ -79,7 +68,7 @@ def sym_eig(M) -> EigenDecomposition:
     S = (M + M.T) / 2.0
     w, V = np.linalg.eigh(S)
     order = np.arange(n - 1, -1, -1)
-    return EigenDecomposition(eigenvalues=w[order], eigenvectors=_fix_signs(V[:, order]))
+    return w[order], _fix_signs(V[:, order])
 
 
 def spectral_norm(M) -> float:

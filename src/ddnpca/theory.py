@@ -68,10 +68,16 @@ def _require(cond: bool, name: str):
         raise ParameterError(f"violated condition: {name}")
 
 
+def zeta_caps(r: int, f: float) -> tuple[float, float, float]:
+    """Largest zeta with r*zeta <= 0.01 (simple), r^2*zeta <= 0.0001 and
+    r^2*zeta*f <= 0.01 (cluster); the checks test zeta against these caps."""
+    return 0.01 / r, 0.0001 / r**2, 0.01 / (r**2 * f)
+
+
 def alpha0_simple(inp: BoundInputs) -> float:
     """Batch length sufficient for the one-shot estimator's error target."""
     rz = inp.r * inp.zeta
-    _require(rz <= 0.01, "r*zeta <= 0.01")
+    _require(inp.zeta <= zeta_caps(inp.r, inp.f)[0], "r*zeta <= 0.01")
     peak = max(inp.f, inp.q * inp.f, inp.q**2 * inp.f)
     return C_SIMPLE * inp.eta**2 * (inp.r**2 * 11.0 * math.log(inp.n)) / rz**2 * peak**2
 
@@ -82,7 +88,7 @@ def beta_frac_simple(inp: BoundInputs) -> float:
     q = 0 means the noise support imposes no constraint; +inf is returned.
     """
     rz = inp.r * inp.zeta
-    _require(rz <= 0.01, "r*zeta <= 0.01")
+    _require(inp.zeta <= zeta_caps(inp.r, inp.f)[0], "r*zeta <= 0.01")
     if inp.q == 0.0:
         return math.inf
     qf = inp.q * inp.f
@@ -97,8 +103,9 @@ def alpha0_cluster(inp: BoundInputs) -> float:
     """Per-cluster batch length sufficient for the cluster estimator."""
     _require(inp.g_plus is not None and inp.g_plus >= 1, "g_plus >= 1 supplied")
     rz = inp.r * inp.zeta
-    _require(inp.r**2 * inp.zeta <= 0.0001, "r^2*zeta <= 0.0001")
-    _require(inp.r**2 * inp.zeta * inp.f <= 0.01, "r^2*zeta*f <= 0.01")
+    _, r2_cap, r2f_cap = zeta_caps(inp.r, inp.f)
+    _require(inp.zeta <= r2_cap, "r^2*zeta <= 0.0001")
+    _require(inp.zeta <= r2f_cap, "r^2*zeta*f <= 0.01")
     _require(inp.chi_plus <= _chi_plus_cap(inp.g_plus, rz), "chi_plus within its admissible cap")
     g = inp.g_plus
     peak = max(
@@ -173,15 +180,14 @@ def sin_theta_gap_check(A_full, H, r: int) -> tuple[float, float]:
     Returns (bound, measured); raises SpectralGapError when the eigenvalue
     gap net of ||H|| is not positive, in which case the bound says nothing.
     """
-    ed = sym_eig(A_full)
-    n = ed.eigenvalues.size
+    w, V = sym_eig(A_full)
+    n = w.size
     if not 1 <= r < n:
         raise DimensionError(f"r={r} must lie in [1, {n - 1}]")
     H = np.asarray(H, dtype=float)
     if H.shape != (n, n):
         raise DimensionError(f"H must be {n}x{n}, got {H.shape}")
     h_norm = spectral_norm(H)
-    bound = sin_theta_bound(ed.eigenvalues[r - 1], ed.eigenvalues[r], h_norm)
-    E = ed.eigenvectors[:, :r]
-    measured = subspace_error(sym_eig(np.asarray(A_full) + H).eigenvectors[:, :r], E)
+    bound = sin_theta_bound(w[r - 1], w[r], h_norm)
+    measured = subspace_error(sym_eig(np.asarray(A_full) + H)[1][:, :r], V[:, :r])
     return bound, measured

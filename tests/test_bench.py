@@ -365,6 +365,16 @@ class TestRunExperiment:
         csv = records_to_csv(records)
         assert any(",NA," in line for line in csv.splitlines()[1:])
 
+    def test_unusable_out_fails_before_any_trial(self, tmp_path, monkeypatch):
+        calls = []
+        real = bench.run_trial
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a) or real(*a))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(ConfigError, match="cannot write results under"):
+            run_experiment(small_cfg(trials=2), taken)
+        assert calls == []
+
 
 class TestSummarize:
     def test_empty(self):
@@ -508,6 +518,25 @@ class TestCli:
         path.write_text("nonsense\n")
         assert main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--draws", "-5"],
+        ["--draws", "0", "--instances", "0"],
+        ["--draws", "1", "--instances", "0"],
+        ["--seed", "-1"],
+    ], ids=["negative-draws", "no-draws", "no-instances", "negative-seed"])
+    def test_verify_rejects_unusable_counts_and_seeds(self, capsys, args):
+        assert main(["verify", *args]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("f", [2.0, 10.0, 1000.0, 33333.3])
+    def test_bounds_applies_at_its_own_zeta(self, f):
+        # bounds hands each calculator its largest admissible zeta, which the
+        # calculator must accept however r*zeta or r^2*zeta rounds
+        expt1 = parse_config(CONFIG_DIR / "expt1.cfg")
+        for r in range(1, 41):
+            cfg = dataclasses.replace(expt1, r=r, lambda_diag=(f,) * (r - 1) + (1.0,))
+            assert "not applicable: violated condition" not in bench.bounds_report(cfg), r
 
 
 class TestPerfbenchNames:

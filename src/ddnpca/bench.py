@@ -94,19 +94,23 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a flat `key = value` config file; `#` starts a comment.  The
     keys and types are `ExperimentConfig`'s fields; errors name the file."""
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
 
     missing = sorted(_FIELD_TYPES.keys() - raw.keys())
     if missing:
@@ -346,14 +350,17 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     zeta is the largest value each calculator admits (`theory.zeta_caps`);
     the clustering figures come from partitioning lambda_diag at the g
     implied by the configured g_hat through the setting rule
-    g_hat = 1.01*g + 0.0001.  q is `q_gen` on the sddc channel, where it
-    bounds ||M_st P||; on the missing channel it is ||I_T' P|| as trial 0's
-    first block measures it, since that channel has no q knob.
+    g_hat = 1.01*g + 0.0001, and f is that partition's condition number.
+    q is `q_gen` on the sddc channel, where it bounds ||M_st P||; on the
+    missing channel it is ||I_T' P|| as trial 0's first block measures it,
+    since that channel has no q knob.
     """
     rng = np.random.default_rng(cfg.base_seed)
     model = _build_model(cfg, rng)
     noise = _block_noise(cfg, 0)
-    lam, f, q = model.lam, model.f, cfg.q_gen
+    g_implied = max(1.0, (cfg.g_hat - 0.0001) / 1.01)
+    part = g_partition(model.lam, g_implied)
+    f, q = part.f, cfg.q_gen
     if isinstance(noise, datagen.MissingNoiseModel):
         _, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
     lines = [f"n={cfg.n} r={cfg.r} f={f:g} q={q:g} eta={datagen.ETA:g} (uniform coefficients)"]
@@ -363,8 +370,6 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     lines.append(f"[simple-EVD]   zeta={zeta1:.6g}  alpha0={alpha0_simple(inp1):.6g}  "
                  f"beta/alpha<={beta_frac_simple(inp1):.6g}")
 
-    g_implied = max(1.0, (cfg.g_hat - 0.0001) / 1.01)
-    part = g_partition(lam, g_implied)
     lines.append(
         f"[clustering]   g={part.g_eff:g} chi={part.chi:g} vartheta={part.vartheta} "
         f"sizes={part.sizes} (partition at g={g_implied:.6g})"

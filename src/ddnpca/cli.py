@@ -53,6 +53,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # both counts before either sweep: a bad second one must not wait for the first
+    bench._check_sweep(args.draws, args.seed, "draws")
+    bench._check_sweep(args.instances, args.seed, "instances")
     failed = False
 
     violations, worst = bench.block_sum_bound_sweep(draws=args.draws, seed=args.seed)

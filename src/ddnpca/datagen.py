@@ -4,7 +4,7 @@ schedules, and the missing-entry / sparse data-dependent corruption channels."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class SignalModel:
     def r(self) -> int:
         return self.P.shape[1]
 
-    @property
-    def f(self) -> float:
-        return float(self.lam[0] / self.lam[-1])
-
 
 def _coefficient_matrix(model: SignalModel, alpha: int, rng: np.random.Generator) -> np.ndarray:
     # Entry (j, t) uniform on [-sqrt(ETA lam_j), sqrt(ETA lam_j)], variance lam_j.
@@ -83,15 +79,12 @@ class SupportSchedule:
          is covered more than rho^2 * beta_tilde times over the schedule.
          The cover bound is what the block-sum norm bound actually needs,
          and it is the only form a wrapped motion can satisfy.
-
-    `condition3_mode` records which of the two held: "strict" or "cover".
     """
 
     n: int
     supports: np.ndarray
     rho: int
     beta_tilde: int
-    condition3_mode: str = field(init=False, default="strict")
 
     def __post_init__(self):
         if self.n < 1 or self.rho < 1 or self.beta_tilde < 1:
@@ -129,8 +122,6 @@ class SupportSchedule:
                 "neither the one-direction motion condition nor the cover bound "
                 f"(max cover {report['max_cover']} > rho^2*beta_tilde = {self.beta}) holds"
             )
-        if not report["condition3"]:
-            object.__setattr__(self, "condition3_mode", "cover")
 
     @property
     def alpha(self) -> int:

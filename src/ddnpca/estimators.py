@@ -26,7 +26,6 @@ class ClusterEvdResult:
 
     P_hat: np.ndarray
     cluster_sizes: tuple[int, ...]
-    per_cluster_eigs: tuple[np.ndarray, ...]  # full spectrum of each deflated block
 
     def __post_init__(self):
         if sum(self.cluster_sizes) != self.P_hat.shape[1]:
@@ -171,13 +170,11 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
     eig = first
     G: np.ndarray | None = None
     sizes: list[int] = []
-    spectra: list[np.ndarray] = []
     while True:
         r_hat, stop = detect_cluster(eig.eigenvalues, g_hat, thresh)
         Gk = eig.leading(r_hat)
         G = Gk if G is None else np.hstack([G, Gk])
         sizes.append(r_hat)
-        spectra.append(eig.eigenvalues.copy())
         if stop:
             break
         k = len(sizes) + 1  # the next cluster, and the block it is found in
@@ -202,8 +199,4 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
         if Y.shape[1] != alpha:
             raise DimensionError(f"block {k} has {Y.shape[1]} columns, expected {alpha}")
         eig = block_eig(Y, G)
-    return ClusterEvdResult(
-        P_hat=G,
-        cluster_sizes=tuple(sizes),
-        per_cluster_eigs=tuple(spectra),
-    )
+    return ClusterEvdResult(P_hat=G, cluster_sizes=tuple(sizes))

@@ -45,13 +45,13 @@ class BoundInputs:
     def __post_init__(self):
         if self.n < 2 or self.r < 1:
             raise ParameterError("need n >= 2 and r >= 1")
-        if self.f < 1:
+        if not self.f >= 1:
             raise ParameterError(f"condition number f must be >= 1, got {self.f}")
-        if self.q < 0:
+        if not self.q >= 0:
             raise ParameterError(f"q must be non-negative, got {self.q}")
-        if self.eta < 1:
+        if not self.eta >= 1:
             raise ParameterError(f"eta must be >= 1, got {self.eta}")
-        if self.zeta <= 0:
+        if not self.zeta > 0:
             raise ParameterError(f"zeta must be positive, got {self.zeta}")
         if self.r_k is None:
             object.__setattr__(self, "r_k", self.r)
@@ -59,7 +59,7 @@ class BoundInputs:
             raise ParameterError(f"r_k must lie in [1, r], got {self.r_k}")
         if self.vartheta < 1:
             raise ParameterError("vartheta must be >= 1")
-        if self.chi_plus < 0:
+        if not self.chi_plus >= 0:
             raise ParameterError("chi_plus must be non-negative")
 
 

@@ -207,6 +207,13 @@ class TestParseConfigBuildsTrialObjects:
         assert err.startswith(f"error: {path}: ") and "cover" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["bounds", "run"])
+    def test_undecodable_file_exits_2_naming_file(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + "n = 500\n".encode("utf-16-le"))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
 
 class TestConfigFieldTypes:
     """The constructor checks each field's type before it builds anything,
@@ -525,8 +532,14 @@ class TestCli:
         ["--draws", "1", "--instances", "0"],
         ["--seed", "-1"],
     ], ids=["negative-draws", "no-draws", "no-instances", "negative-seed"])
-    def test_verify_rejects_unusable_counts_and_seeds(self, capsys, args):
+    def test_verify_rejects_unusable_counts_and_seeds(self, monkeypatch, capsys, args):
+        # both counts are checked before the first sweep runs
+        calls = []
+        real = bench.block_sum_bound_sweep
+        monkeypatch.setattr(bench, "block_sum_bound_sweep",
+                            lambda **kw: calls.append(kw) or real(**kw))
         assert main(["verify", *args]) == 2
+        assert calls == []
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("f", [2.0, 10.0, 1000.0, 33333.3])
@@ -591,8 +604,9 @@ class TestPerfbenchColumns:
 
 class TestProductReachability:
     """Every public top-level function and class in `src/ddnpca` is
-    referenced somewhere in `src/` outside its own definition, so code that
-    only tests reach shows up here."""
+    referenced somewhere in `src/` outside its own definition, and every
+    dataclass field is read there, so code and facts that only tests reach
+    show up here."""
 
     # Each exception would be an open ROADMAP item, not a permanent exemption.
     ALLOWED = ()
@@ -622,6 +636,26 @@ class TestProductReachability:
         # an exception that the product now reaches must leave the list
         found = {m.split(":")[1] for m in self.unreferenced()}
         assert set(self.ALLOWED) <= found
+
+    # every field of these is a column that `bench._to_csv` writes
+    CSV_ROWS = ("TrialRecord", "MethodSummary")
+
+    def test_every_dataclass_field_is_read(self):
+        """Each annotated field of a `@dataclass` is read as an attribute
+        (`x.name`) somewhere in `src/`.  The check works by name, so a name
+        that several classes share (`f`, `n`, `r`) counts as read for all."""
+        fields, read = [], set()
+        for path in sorted((REPO / "src" / "ddnpca").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            fields += [f"{node.name}.{item.target.id}" for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name not in self.CSV_ROWS
+                       and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                               for d in node.decorator_list)
+                       for item in node.body if isinstance(item, ast.AnnAssign)]
+            read |= {sub.attr for sub in ast.walk(tree)
+                     if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+        assert fields
+        assert [f for f in fields if f.split(".")[1] not in read] == []
 
 
 class TestNoUnusedImports:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ddnpca.estimators as estimators
@@ -461,7 +461,6 @@ class TestClusterEvdProperties:
         assert np.max(np.abs(res.P_hat.T @ res.P_hat - np.eye(width))) <= 1e-8
         assert sum(res.cluster_sizes) == width
         assert res.vartheta_hat == len(res.cluster_sizes) == len(drawn) <= cap
-        assert all(spec.shape == (n,) for spec in res.per_cluster_eigs)
 
 
 def _signal_model():
@@ -469,8 +468,7 @@ def _signal_model():
 
 
 def _cluster_result():
-    return ClusterEvdResult(P_hat=np.eye(4)[:, :2], cluster_sizes=(2,),
-                            per_cluster_eigs=(np.ones(4),))
+    return ClusterEvdResult(P_hat=np.eye(4)[:, :2], cluster_sizes=(2,))
 
 
 @pytest.mark.parametrize("make", [
@@ -484,3 +482,61 @@ def test_array_dataclasses_compare_by_identity(make):
     assert type(a) in (SignalModel, BlockEig, ClusterEvdResult)
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+class TestEstimatorInvariances:
+    """Transforms of the data that both estimators must follow: one
+    orthogonal Q applied to every block (truth Q P), each block's frames
+    reordered and sign-flipped, and the data doubled with four times the
+    threshold.  The bytes move under each; the rank, the cluster sizes and
+    the SE must not.  Draws with a ratio or an eigenvalue within 1e-6 of
+    g_hat or thresh are skipped, since rounding decides such a tie."""
+
+    G_HAT, THRESH, TIE = 3.0, 0.05, 1e-6
+
+    @classmethod
+    def estimate(cls, blocks, P, thresh):
+        """simple-EVD's (rank, SE), cluster-EVD's (sizes, SE), and the
+        spectra whose comparisons decided them."""
+        first = block_eig(blocks[0])
+        P_evd = simple_evd(first, thresh)
+        res = cluster_evd(first, iter(blocks[1:]), cls.G_HAT, thresh, max_clusters=len(blocks))
+        ends = np.cumsum((0,) + res.cluster_sizes[:-1])
+        spectra = [block_eig(Y, res.P_hat[:, :end]).eigenvalues for Y, end in zip(blocks, ends)]
+        return ((P_evd.shape[1], subspace_error(P_evd, P)),
+                (res.cluster_sizes, subspace_error(res.P_hat, P)), spectra)
+
+    @classmethod
+    def near_tie(cls, lam, thresh):
+        ratios = lam[0] / lam[1:][lam[1:] > 0]
+        return (np.isclose(lam, thresh, rtol=cls.TIE, atol=0).any()
+                or np.isclose(ratios, cls.G_HAT, rtol=cls.TIE, atol=0).any())
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10), alpha=st.integers(2, 14),
+           levels=st.lists(st.sampled_from([100.0, 10.0, 1.0]), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_rotation_frame_order_and_scale(self, seed, n, alpha, levels):
+        assume(len(levels) < n)
+        rng = np.random.default_rng(seed)
+        lam = np.sort(levels)[::-1]
+        P = random_orthonormal(n, lam.size, rng)
+        blocks = [P @ (np.sqrt(lam)[:, None] * rng.standard_normal((lam.size, alpha)))
+                  + 0.01 * rng.standard_normal((n, alpha)) for _ in range(lam.size + 1)]
+        try:
+            evd, cluster, spectra = self.estimate(blocks, P, self.THRESH)
+        except (EmptySubspaceError, NoClusterError, NonTerminationError, InsufficientDataError):
+            assume(False)
+        assume(not any(self.near_tie(lam_k, self.THRESH) for lam_k in spectra))
+
+        Q = random_orthonormal(n, n, rng)
+        shuffled = [Y[:, rng.permutation(alpha)] * rng.choice([-1.0, 1.0], size=alpha)
+                    for Y in blocks]
+        for moved, truth, thresh in [
+            ([Q @ Y for Y in blocks], Q @ P, self.THRESH),
+            (shuffled, P, self.THRESH),
+            ([2.0 * Y for Y in blocks], P, 4.0 * self.THRESH),
+        ]:
+            evd2, cluster2, _ = self.estimate(moved, truth, thresh)
+            for (shape, se), (shape2, se2) in [(evd, evd2), (cluster, cluster2)]:
+                assert shape2 == shape
+                assert abs(se2 - se) <= 1e-9

@@ -392,3 +392,10 @@ class TestBoundInputs:
             BoundInputs(n=10, r=4, f=2.0, q=0.1, eta=3.0, zeta=0.0)
         with pytest.raises(ParameterError):
             BoundInputs(n=10, r=4, f=2.0, q=0.1, eta=3.0, zeta=1e-4, r_k=5)
+
+    @pytest.mark.parametrize("key", ["f", "q", "eta", "zeta", "chi_plus"])
+    def test_nan_rejected(self, key):
+        # a NaN passes every `x < bound` test, and max() then skips it
+        base = dict(n=10, r=4, f=2.0, q=0.1, eta=3.0, zeta=1e-4)
+        with pytest.raises(ParameterError, match=key):
+            BoundInputs(**{**base, key: math.nan})

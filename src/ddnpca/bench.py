@@ -3,9 +3,12 @@ estimators, CSV output, and the oracle sweeps behind the `verify` command."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import numbers
+import threading
 import time
 import typing
 from collections.abc import Sequence
@@ -17,7 +20,7 @@ import numpy as np
 from . import datagen
 from .errors import ConfigError, DdnPcaError, ParameterError, SpectralGapError
 from .estimators import block_eig, cluster_evd, detect_cluster, simple_evd
-from .linalg import subspace_error
+from .linalg import one_blas_thread, subspace_error
 from .spectrum import ClusterPartition, g_partition
 from .theory import (
     BoundInputs,
@@ -162,10 +165,9 @@ def effective_thresh(cfg: ExperimentConfig) -> float:
     return min(cfg.thresh, 0.5 * min(cfg.lambda_diag))
 
 
-def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Generator,
-            drawn: list[tuple[float, float]]):
-    """One trial's observation blocks, generated on demand; appends each
-    block's (measured q, generation ms) to `drawn`.
+def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Generator):
+    """One trial's observation blocks as `generate_dataset` returns them,
+    (Y, A, measured q), generated on demand.
 
     Block k gets its own support schedule, shifted to continue the motion of
     block k-1; every block's schedule is validated on its own, matching the
@@ -174,11 +176,60 @@ def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Ge
     """
     first_run = 0  # of the motion, for the next block's schedule
     while True:
-        t0 = time.perf_counter()
-        Y, _, q = datagen.generate_dataset(model, _block_noise(cfg, first_run), cfg.alpha, rng)
-        drawn.append((q, (time.perf_counter() - t0) * 1e3))
+        noise = _block_noise(cfg, first_run)
         first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
-        yield Y
+        yield datagen.generate_dataset(model, noise, cfg.alpha, rng)
+
+
+def _draws(cfg: ExperimentConfig, trials, plan: int):
+    """The draws of `trials` in order, `plan` items per trial: (seed, model,
+    source, block 1), then blocks 2..plan, each a `_blocks` item; `source`
+    draws the trial's later blocks.  A block that fails to draw is its
+    DdnPcaError, repeated for the trial's remaining items without drawing."""
+    for i in trials:
+        rng = np.random.default_rng(cfg.base_seed + i)
+        model = _build_model(cfg, rng)
+        source = _blocks(model, cfg, rng)
+        block = None
+        for k in range(plan):
+            if not isinstance(block, DdnPcaError):
+                try:
+                    block = next(source)
+                except DdnPcaError as exc:
+                    block = exc
+            yield (cfg.base_seed + i, model, source, block) if k == 0 else block
+
+
+def _one_ahead(items):
+    """The items of the iterator `items`, each drawn on a worker thread while
+    the caller holds the one before it.  An exception from `items` is raised
+    where its item is taken; closing the generator joins the worker."""
+    slot, stop = [], False
+    asked, ready = threading.Semaphore(1), threading.Semaphore(0)
+
+    def work():
+        while asked.acquire() and not stop:
+            try:
+                slot.append((next(items), None))
+            except BaseException as exc:  # re-raised in the caller; StopIteration ends the stream
+                slot.append((None, exc))
+            ready.release()
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        while ready.acquire():
+            item, exc = slot.pop()
+            if isinstance(exc, StopIteration):
+                return
+            if exc is not None:
+                raise exc
+            asked.release()  # draw the next item while the caller holds this one
+            yield item
+    finally:
+        stop = True
+        asked.release()
+        worker.join()
 
 
 def _block_noise(cfg: ExperimentConfig, first_run: int):
@@ -204,30 +255,52 @@ def _build_model(cfg: ExperimentConfig, rng: np.random.Generator) -> datagen.Sig
     return datagen.SignalModel(P=P, lam=np.asarray(cfg.lambda_diag))
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
+def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
+              plan: int = 1) -> list[TrialRecord]:
     """Run both estimators once; deterministic given (cfg, trial_index).
 
     The trial's randomness derives from base_seed + trial_index alone.  The
     first block is decomposed once: the one-shot estimator uses that
-    decomposition alone, and the cluster estimator starts from it and draws
-    later blocks from `_blocks`.  Estimator failures are recorded
-    (se=None), not raised; when the first block cannot be decomposed, both
-    rows fail.  A row's q_measured is the largest over the blocks drawn by
-    the time it is recorded: block 1's for evd, and for cluster_evd the
-    largest over the blocks it drew.
+    decomposition alone, and the cluster estimator starts from it and takes
+    later blocks one at a time.  `draws` is a `_draws` stream positioned at
+    this trial, of which the trial takes its `plan` items; by default it
+    makes its own.  A block that failed to draw raises where it is taken:
+    block 1's leaves run_trial, a later one fails the cluster row.
+    Estimator failures are recorded (se=None), not raised; when the first
+    block cannot be decomposed, both rows fail.  A row's q_measured is the
+    largest over the blocks taken by the time it is recorded: block 1's for
+    evd, and for cluster_evd the largest over the blocks it took.
 
     Each row's time_ms is what its method would cost alone, without data
     generation: the shared first-block decomposition is charged to both
-    rows, and the blocks the cluster estimator draws later are generated
-    outside its clock.
+    rows, and the time spent getting each later block, drawing it or
+    waiting for it, is outside the cluster row's clock.
     """
-    seed = cfg.base_seed + trial_index
-    rng = np.random.default_rng(seed)
-    model = _build_model(cfg, rng)
-    drawn: list[tuple[float, float]] = []
-    blocks = _blocks(model, cfg, rng, drawn)
+    if draws is None:
+        draws = _draws(cfg, [trial_index], plan)
+    seed, model, source, first = next(draws)
+    rest = itertools.islice(draws, plan - 1)  # the stream's blocks 2..plan of this trial
+    qs: list[float] = []     # q of each block taken
+    waits: list[float] = []  # ms spent getting each later block
+
+    def observed(block):
+        if isinstance(block, DdnPcaError):
+            raise block
+        Y, _, q = block
+        qs.append(q)
+        return Y
+
+    def later_blocks():
+        blocks = itertools.chain(rest, source)
+        while True:
+            t0 = time.perf_counter()
+            block = next(blocks)
+            waits.append((time.perf_counter() - t0) * 1e3)
+            yield observed(block)
+
+    Y1 = observed(first)
+    del first
     thresh = effective_thresh(cfg)
-    Y1 = next(blocks)
 
     t0 = time.perf_counter()
     try:
@@ -235,9 +308,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     except DdnPcaError as exc:
         eig1, first_error = None, exc
     shared_ms = (time.perf_counter() - t0) * 1e3
+    del Y1  # eig1 keeps the block where it lifts from it
 
     def record(method, estimate) -> TrialRecord:
-        drawn_before, t0 = len(drawn), time.perf_counter()
+        t0 = time.perf_counter()
         try:
             if first_error is not None:
                 raise first_error
@@ -247,21 +321,24 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
         except DdnPcaError:
             t1 = time.perf_counter()
             se, vartheta_hat, rank_hat = None, 0, 0
-        elapsed = shared_ms + (t1 - t0) * 1e3 - sum(ms for _, ms in drawn[drawn_before:])
+        elapsed = shared_ms + (t1 - t0) * 1e3 - sum(waits)  # evd, first, takes no block
         return TrialRecord(
             trial=trial_index, method=method, se=se, time_ms=elapsed,
             vartheta_hat=vartheta_hat, rank_hat=rank_hat,
-            q_measured=max(q for q, _ in drawn), seed=seed,
+            q_measured=max(qs), seed=seed,
         )
 
     def evd():
         return simple_evd(eig1, thresh), 1
 
     def cluster():
-        result = cluster_evd(eig1, blocks, cfg.g_hat, thresh, max_clusters=cfg.r)
+        result = cluster_evd(eig1, later_blocks(), cfg.g_hat, thresh, max_clusters=cfg.r)
         return result.P_hat, result.vartheta_hat
 
-    return [record("evd", evd), record("cluster_evd", cluster)]
+    records = [record("evd", evd), record("cluster_evd", cluster)]
+    for _ in rest:  # the stream's items of this trial that it did not use
+        pass
+    return records
 
 
 def summarize(records: list[TrialRecord]) -> list[MethodSummary]:
@@ -304,12 +381,25 @@ def summary_to_csv(summary: list[MethodSummary]) -> str:
 
 def run_experiment(cfg: ExperimentConfig,
                    out_dir) -> tuple[list[TrialRecord], list[MethodSummary]]:
-    """Run all trials serially (order-stable), write results.csv / summary.csv;
-    out_dir is made first, so an unusable one fails before any trial runs."""
+    """Run all trials in order and write results.csv / summary.csv; out_dir
+    is made first, so an unusable one fails before any trial runs.
+
+    OpenBLAS runs one thread for the length of the run, and a worker thread
+    draws the blocks one ahead while the estimators run on the block in
+    hand; with no OpenBLAS to pin, the draws are inline.  Either way the
+    records equal those of a serial `run_trial` loop at one BLAS thread,
+    outside time_ms.  Each trial's first `plan` blocks come from the
+    stream: as many as cluster_evd takes on the planted spectrum.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        records = [rec for i in range(cfg.trials) for rec in run_trial(cfg, i)]
+        plan = g_partition(cfg.lambda_diag, cfg.g_hat).vartheta
+        with one_blas_thread() as pinned:
+            draws = _draws(cfg, range(cfg.trials), plan)
+            with contextlib.closing(_one_ahead(draws) if pinned else draws) as draws:
+                records = [rec for i in range(cfg.trials)
+                           for rec in run_trial(cfg, i, draws, plan)]
         summary = summarize(records)
         (out / "results.csv").write_text(records_to_csv(records))
         (out / "summary.csv").write_text(summary_to_csv(summary))

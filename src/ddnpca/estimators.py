@@ -46,28 +46,30 @@ class BlockEig:
     factorized instead: it has the same nonzero eigenvalues, and an
     eigenvector u of ZZ'/alpha is recovered from one v of Z'Z/alpha as
     u = Z v / sqrt(alpha w).  `leading` lifts only the columns a caller asks
-    for.  Z itself is not kept; Z v is formed as Psi (Y v).  Compares and
-    hashes by identity (an array field has no single truth value).
+    for.  Z itself is not kept; Z v is formed as Psi (Y v), so Y is kept in
+    this case, and only in this one.  Compares and hashes by identity (an
+    array field has no single truth value).
     """
 
-    eigenvalues: np.ndarray  # shape (n,), non-increasing; exact zeros past rank alpha
-    block: np.ndarray        # the block Y as given, before deflation
-    G: np.ndarray | None     # the directions removed, None when none were
-    _vectors: np.ndarray     # n x n eigenvectors, or alpha x alpha ones to lift
+    eigenvalues: np.ndarray    # shape (n,), non-increasing; exact zeros past rank alpha
+    shape: tuple[int, int]     # (n, alpha) of the block Y
+    G: np.ndarray | None       # the directions removed, None when none were
+    _vectors: np.ndarray       # n x n eigenvectors, or alpha x alpha ones to lift
+    _block: np.ndarray | None  # Y as given, before deflation, to lift from; None when n <= alpha
 
     def leading(self, k: int) -> np.ndarray:
         """Sign-fixed n x k eigenvectors of the k largest eigenvalues."""
-        n, alpha = self.block.shape
+        n, alpha = self.shape
         if not 0 <= k <= n:
             raise DimensionError(f"k={k} out of range for n={n}")
-        if self._vectors.shape[0] == n:
+        if self._block is None:
             return self._vectors[:, :k]
         w = self.eigenvalues[:k]
         if k > 0 and not w[-1] > 0.0:
             raise EmptySubspaceError(
                 f"eigenvalue {k} is {w[-1]:.3e}; only positive eigenvalues have a lifted eigenvector"
             )
-        ZV = deflate(self.block @ self._vectors[:, :k], self.G)
+        ZV = deflate(self._block @ self._vectors[:, :k], self.G)
         return _fix_signs(ZV / np.sqrt(alpha * w))
 
 
@@ -100,12 +102,12 @@ def block_eig(Y, G=None) -> BlockEig:
     # The deflated block is a temporary: it is released before the eigensolve.
     if n <= alpha:
         w, V = sym_eig(empirical_covariance(deflate(Y, G)))
-        return BlockEig(w, Y, G, V)
+        return BlockEig(w, Y.shape, G, V, None)
     w, V = sym_eig(_alpha_gram(deflate(Y, G)))
     # sym_eig's order puts every positive eigenvalue ahead of the padding, so
     # the leading columns of V still pair with eigenvalues[:k].
     w = np.sort(np.concatenate([w, np.zeros(n - alpha)]))[::-1]
-    return BlockEig(w, Y, G, V)
+    return BlockEig(w, Y.shape, G, V, Y)
 
 
 def _alpha_gram(Z: np.ndarray) -> np.ndarray:
@@ -164,7 +166,7 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
         raise ParameterError("max_clusters must be positive")
     if first.G is not None:
         raise ParameterError("the first block's decomposition must not be deflated")
-    n, alpha = first.block.shape
+    n, alpha = first.shape
     cap = n if max_clusters is None else max_clusters
     blocks = iter(blocks)
     eig = first

@@ -2,10 +2,14 @@
 
 Matrices are plain ``numpy.ndarray`` objects.  A "basis matrix" is a tall
 matrix with orthonormal columns; ``check_basis`` enforces the convention.
-All functions are pure and never mutate their arguments.
+The numerical functions are pure and never mutate their arguments;
+``one_blas_thread`` sets the BLAS thread count for the length of a block.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
 
 import numpy as np
 
@@ -123,3 +127,43 @@ def sin_theta_bound(lambda_min_a: float, lambda_max_aperp: float, h_norm: float)
             f"gap {lambda_min_a} - {lambda_max_aperp} - {h_norm} = {denom} is not positive"
         )
     return h_norm / denom
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin each loaded OpenBLAS to one thread for the block, restoring its
+    count afterwards, also on error.  Yields whether an OpenBLAS was pinned:
+    False for another BLAS, or where the loaded libraries cannot be listed."""
+    pinned = [(get(), set_) for get, set_ in _openblas_threads()]
+    for _, set_ in pinned:
+        set_(1)
+    try:
+        yield bool(pinned)
+    finally:
+        for count, set_ in pinned:
+            set_(count)
+
+
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of each OpenBLAS this process loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the symbols of numpy's bundled build, an ILP64 build and a plain one
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                     "openblas_%s_num_threads"):
+            if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+                get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found

@@ -3,7 +3,11 @@ import dataclasses
 import importlib
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -11,7 +15,7 @@ import numpy as np
 import pytest
 
 from csv_rows import read_rows
-from ddnpca import bench, datagen
+from ddnpca import bench, datagen, linalg
 from ddnpca.bench import (
     ExperimentConfig,
     TrialRecord,
@@ -24,7 +28,8 @@ from ddnpca.bench import (
     summarize,
 )
 from ddnpca.cli import main
-from ddnpca.errors import ConfigError, DimensionError, ParameterError
+from ddnpca.errors import ConfigError, DimensionError, ParameterError, ScheduleError
+from ddnpca.linalg import one_blas_thread
 from ddnpca.spectrum import g_partition
 
 REPO = Path(__file__).resolve().parent.parent
@@ -381,6 +386,220 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="cannot write results under"):
             run_experiment(small_cfg(trials=2), taken)
         assert calls == []
+
+
+def untimed(records):
+    return [dataclasses.replace(r, time_ms=0.0) for r in records]
+
+
+def serial_one_thread(cfg):
+    """The records of a serial `run_trial` loop at one BLAS thread, which
+    `run_experiment` must equal outside time_ms."""
+    with one_blas_thread():
+        return [rec for i in range(cfg.trials) for rec in run_trial(cfg, i)]
+
+
+def blas_counts():
+    return [get() for get, _ in linalg._openblas_threads()]
+
+
+def failing_draw(monkeypatch, call):
+    """Make `generate_dataset` raise a ScheduleError on call `call` (1-based)
+    of each trial, counted per trial generator; returns the calls made."""
+    real = datagen.generate_dataset
+    rngs = []
+
+    def draw(model, noise, alpha, rng):
+        rngs.append(rng)
+        if sum(r is rng for r in rngs) == call:
+            raise ScheduleError(f"injected failure of block {call}")
+        return real(model, noise, alpha, rng)
+
+    monkeypatch.setattr(datagen, "generate_dataset", draw)
+    return rngs
+
+
+class TestDrawHandOff:
+    """`run_experiment` draws each trial's first `plan` blocks one item
+    ahead on a worker thread; its records equal a serial `run_trial` loop's
+    at one BLAS thread, outside time_ms."""
+
+    @pytest.mark.parametrize("overrides, plan, past_plan", [
+        (dict(q_gen=5.0, g_hat=1.05), 3, False),  # runs to the r-block cap, which is the plan
+        (dict(q_gen=5.0, g_hat=4.0), 2, True),    # runs to the cap, one block past the plan
+        (dict(g_hat=4.0), 2, True),               # finds 3 clusters where 2 are planted
+    ])
+    def test_trials_past_the_plan_draw_their_own_blocks(self, tmp_path, monkeypatch,
+                                                        overrides, plan, past_plan):
+        cfg = small_cfg(trials=3, **overrides)
+        assert g_partition(cfg.lambda_diag, cfg.g_hat).vartheta == plan
+        serial = serial_one_thread(cfg)
+        calls = []
+        real = datagen.generate_dataset
+        monkeypatch.setattr(datagen, "generate_dataset",
+                            lambda *a: calls.append(a) or real(*a))
+        records, _ = run_experiment(cfg, tmp_path)
+        assert untimed(records) == untimed(serial)
+        assert (len(calls) > cfg.trials * plan) == past_plan
+
+    @pytest.mark.parametrize("g_hat, plan", [(4.0, 2), (2.5, 3)])
+    def test_block_2_error_fails_only_the_cluster_row(self, tmp_path, monkeypatch, g_hat, plan):
+        cfg = small_cfg(g_hat=g_hat, trials=3)
+        assert g_partition(cfg.lambda_diag, cfg.g_hat).vartheta == plan
+        clean = untimed(serial_one_thread(cfg))
+        failing_draw(monkeypatch, 2)
+        records, summary = run_experiment(cfg, tmp_path)
+        assert untimed(records) == untimed(serial_one_thread(cfg))
+        for rec, ref in zip(untimed(records), clean):
+            if rec.method == "evd":
+                assert rec == ref  # the next trial's first block is drawn as before
+            else:
+                assert rec.se is None and rec.vartheta_hat == 0
+        assert {m.method: m.failure_count for m in summary} == {"evd": 0, "cluster_evd": 3}
+        rows = read_rows((tmp_path / "results.csv").read_text())
+        assert [row["se"] for row in rows if row["method"] == "cluster_evd"] == ["NA"] * 3
+
+    def test_block_1_error_leaves_run_experiment(self, tmp_path, monkeypatch):
+        rngs = failing_draw(monkeypatch, 1)
+        with pytest.raises(ScheduleError, match="block 1"):
+            run_experiment(small_cfg(trials=3), tmp_path)
+        assert len(rngs) == 1  # nothing is drawn after the failed block
+        with pytest.raises(ScheduleError, match="block 1"):
+            serial_one_thread(small_cfg(trials=3))
+
+    def test_time_excludes_waiting_for_blocks(self, tmp_path, monkeypatch):
+        real = datagen.generate_dataset
+
+        def slow(*args, **kwargs):
+            time.sleep(0.15)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "generate_dataset", slow)
+        records, _ = run_experiment(small_cfg(trials=2), tmp_path)
+        assert all(r.vartheta_hat > 1 for r in records if r.method == "cluster_evd")
+        assert all(0.0 <= r.time_ms < 100.0 for r in records)
+
+
+class TestOneAhead:
+    def test_streams_arrive_whole_under_thread_switches(self):
+        """Four consumers, each with its own worker, so more threads than
+        cores, switching every microsecond: each stream arrives in order,
+        whether it is read to its end, closed early or ends in an error, and
+        every worker is joined."""
+        def failing():
+            yield from range(500)
+            raise ValueError("items failed")
+
+        def consume(k):
+            stream = bench._one_ahead(failing() if k == 3 else iter(range(2000)))
+            got = results[k] = []
+            try:
+                for item in stream:
+                    got.append(item)
+                    if len(got) == 1000 + k and k in (1, 2):  # closed early
+                        break
+            except Exception as exc:  # any error is compared as an item
+                got.append(str(exc))
+            stream.close()
+
+        results, before, interval = {}, threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [threading.Thread(target=consume, args=(k,), daemon=True)
+                         for k in range(4)]
+            for thread in consumers:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in consumers:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in consumers)
+        assert results == {0: list(range(2000)), 1: list(range(1001)), 2: list(range(1002)),
+                           3: list(range(500)) + ["items failed"]}
+        assert threading.active_count() == before
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Each loaded OpenBLAS at two threads for the test, so that a count that
+    a run pins to one and fails to restore shows."""
+    libs = linalg._openblas_threads()
+    counts = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield
+    for count, (_, set_) in zip(counts, libs):
+        set_(count)
+
+
+class TestRunLifecycle:
+    """The worker thread and the BLAS pin last exactly as long as the run."""
+
+    def test_threads_and_blas_restored_after_return_and_raise(self, tmp_path, monkeypatch,
+                                                              two_blas_threads):
+        before = threading.active_count(), blas_counts()
+        assert set(before[1]) <= {2}
+        during = []
+        real = bench.run_trial
+
+        def trial(*args):
+            records = real(*args)
+            during.append((threading.active_count(), blas_counts()))
+            return records
+
+        monkeypatch.setattr(bench, "run_trial", trial)
+        run_experiment(small_cfg(trials=2), tmp_path / "ok")
+        assert (threading.active_count(), blas_counts()) == before
+        if before[1]:  # an OpenBLAS is loaded: it runs one thread, beside one worker
+            assert during == [(before[0] + 1, [1] * len(before[1]))] * 2
+
+        monkeypatch.setattr(bench, "run_trial", real)
+        with monkeypatch.context() as patched:
+            failing_draw(patched, 1)
+            with pytest.raises(ScheduleError):
+                run_experiment(small_cfg(trials=2), tmp_path / "failed")
+        assert (threading.active_count(), blas_counts()) == before
+
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(ConfigError):
+            run_experiment(small_cfg(trials=2), taken)
+        assert (threading.active_count(), blas_counts()) == before
+
+    def test_no_openblas_starts_no_thread(self, tmp_path, monkeypatch):
+        cfg = small_cfg(trials=3)
+        serial = serial_one_thread(cfg)
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: [])
+        starts = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread) or real_start(thread))
+        records, _ = run_experiment(cfg, tmp_path)
+        assert starts == []
+        assert untimed(records) == untimed(serial)
+
+    def test_serial_one_thread_process_writes_the_same_bytes(self, tmp_path):
+        # the contract whatever the core count: a serial loop in a process
+        # whose BLAS runs one thread writes what run_experiment writes
+        path = CONFIG_DIR / "expt1.cfg"
+        cfg = dataclasses.replace(parse_config(path), trials=10)
+        script = ("import dataclasses, sys\n"
+                  "from ddnpca.bench import parse_config, records_to_csv, run_trial\n"
+                  "cfg = dataclasses.replace(parse_config(sys.argv[1]), trials=10)\n"
+                  "sys.stdout.write(records_to_csv([rec for i in range(10)"
+                  " for rec in run_trial(cfg, i)]))\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(REPO / "src")}
+        serial = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                capture_output=True, text=True, timeout=120, check=True).stdout
+        run_experiment(cfg, tmp_path)
+        in_process = (tmp_path / "results.csv").read_text()
+
+        def drop_time(text):
+            return [{k: v for k, v in row.items() if k != "time_ms"} for row in read_rows(text)]
+
+        assert len(read_rows(serial)) == 20
+        assert drop_time(in_process) == drop_time(serial)
 
 
 class TestSummarize:

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ class TestBlockEig:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 10  # one n x n float matrix would be 72 MB
+
+    @pytest.mark.parametrize("n, alpha", [(4, 4), (4, 9)])
+    def test_keeps_no_block_it_does_not_lift_from(self, n, alpha):
+        # with n <= alpha the n x n eigenvectors are kept, and the block is not
+        Y = np.random.default_rng(12).standard_normal((n, alpha))
+        block = weakref.ref(Y)
+        eig = block_eig(Y)
+        del Y
+        assert block() is None
+        assert eig.leading(n).shape == (n, n)
 
     def test_signs_match_dense_convention(self):
         rng = np.random.default_rng(9)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datagen
 from .errors import ConfigError, DdnPcaError, ParameterError, SpectralGapError
-from .estimators import block_eig, cluster_evd, detect_cluster, simple_evd
+from .estimators import block_eig, cluster_evd, detect_cluster, reduce_block, simple_evd
 from .linalg import one_blas_thread, subspace_error
 from .spectrum import ClusterPartition, g_partition
 from .theory import (
@@ -166,8 +166,10 @@ def effective_thresh(cfg: ExperimentConfig) -> float:
 
 
 def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Generator):
-    """One trial's observation blocks as `generate_dataset` returns them,
-    (Y, A, measured q), generated on demand.
+    """One trial's observation blocks, generated on demand, each as
+    (block, q, ms): the block Y as `reduce_block` leaves it, the q that
+    `generate_dataset` measured, and the milliseconds the reduction took.
+    The reduction runs wherever the block is drawn.
 
     Block k gets its own support schedule, shifted to continue the motion of
     block k-1; every block's schedule is validated on its own, matching the
@@ -178,7 +180,10 @@ def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Ge
     while True:
         noise = _block_noise(cfg, first_run)
         first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
-        yield datagen.generate_dataset(model, noise, cfg.alpha, rng)
+        Y, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
+        t0 = time.perf_counter()
+        Y = reduce_block(Y)
+        yield Y, q, (time.perf_counter() - t0) * 1e3
 
 
 def _draws(cfg: ExperimentConfig, trials, plan: int):
@@ -274,20 +279,24 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
     Each row's time_ms is what its method would cost alone, without data
     generation: the shared first-block decomposition is charged to both
     rows, and the time spent getting each later block, drawing it or
-    waiting for it, is outside the cluster row's clock.
+    waiting for it, is outside the cluster row's clock.  A block's
+    reduction (`reduce_block`) is estimator work, charged wherever it ran:
+    block 1's to both rows, a later block's to the cluster row.
     """
     if draws is None:
         draws = _draws(cfg, [trial_index], plan)
     seed, model, source, first = next(draws)
     rest = itertools.islice(draws, plan - 1)  # the stream's blocks 2..plan of this trial
-    qs: list[float] = []     # q of each block taken
-    waits: list[float] = []  # ms spent getting each later block
+    qs: list[float] = []         # q of each block taken
+    reduce_ms: list[float] = []  # ms spent reducing each block taken
+    waits: list[float] = []      # ms spent getting each later block
 
     def observed(block):
         if isinstance(block, DdnPcaError):
             raise block
-        Y, _, q = block
+        Y, q, ms = block
         qs.append(q)
+        reduce_ms.append(ms)
         return Y
 
     def later_blocks():
@@ -307,7 +316,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         eig1, first_error = block_eig(Y1), None
     except DdnPcaError as exc:
         eig1, first_error = None, exc
-    shared_ms = (time.perf_counter() - t0) * 1e3
+    shared_ms = (time.perf_counter() - t0) * 1e3 + reduce_ms[0]
     del Y1  # eig1 keeps the block where it lifts from it
 
     def record(method, estimate) -> TrialRecord:
@@ -321,7 +330,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         except DdnPcaError:
             t1 = time.perf_counter()
             se, vartheta_hat, rank_hat = None, 0, 0
-        elapsed = shared_ms + (t1 - t0) * 1e3 - sum(waits)  # evd, first, takes no block
+        # evd, recorded first, takes no later block
+        elapsed = shared_ms + (t1 - t0) * 1e3 - sum(waits) + sum(reduce_ms[1:])
         return TrialRecord(
             trial=trial_index, method=method, se=se, time_ms=elapsed,
             vartheta_hat=vartheta_hat, rank_hat=rank_hat,
@@ -384,12 +394,13 @@ def run_experiment(cfg: ExperimentConfig,
     """Run all trials in order and write results.csv / summary.csv; out_dir
     is made first, so an unusable one fails before any trial runs.
 
-    OpenBLAS runs one thread for the length of the run, and a worker thread
-    draws the blocks one ahead while the estimators run on the block in
-    hand; with no OpenBLAS to pin, the draws are inline.  Either way the
-    records equal those of a serial `run_trial` loop at one BLAS thread,
-    outside time_ms.  Each trial's first `plan` blocks come from the
-    stream: as many as cluster_evd takes on the planted spectrum.
+    OpenBLAS runs one thread for the length of the run, its pool parked
+    before the worker starts, and a worker thread draws and reduces the
+    blocks one ahead while the estimators run on the block in hand; with no
+    OpenBLAS to pin, the draws are inline.  Either way the records equal
+    those of a serial `run_trial` loop at one BLAS thread, outside time_ms.
+    Each trial's first `plan` blocks come from the stream: as many as
+    cluster_evd takes on the planted spectrum.
     """
     out = Path(out_dir)
     try:

@@ -38,6 +38,35 @@ class ClusterEvdResult:
 
 
 @dataclass(frozen=True, eq=False)
+class BlockMoment:
+    """The second moment C = YY'/alpha of an n x alpha block Y with
+    n <= alpha: everything `block_eig` reads of such a block.  Made by
+    `reduce_block`; compares and hashes by identity (an array field has no
+    single truth value)."""
+
+    C: np.ndarray  # n x n
+    alpha: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(n, alpha) of the block it stands for."""
+        return self.C.shape[0], self.alpha
+
+
+def reduce_block(Y):
+    """A block as `block_eig` reads it: for an n x alpha array with
+    n <= alpha, its `BlockMoment`; with alpha < n, the array itself.  A
+    `BlockMoment` is returned as given."""
+    if isinstance(Y, BlockMoment):
+        return Y
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise DimensionError("Y must be 2-D")
+    n, alpha = Y.shape
+    return BlockMoment(empirical_covariance(Y), alpha) if n <= alpha else Y
+
+
+@dataclass(frozen=True, eq=False)
 class BlockEig:
     """Eigendecomposition of Psi (YY'/alpha) Psi for one n x alpha block Y,
     where Psi = I - GG' removes the directions G already found.
@@ -73,6 +102,14 @@ class BlockEig:
         return _fix_signs(ZV / np.sqrt(alpha * w))
 
 
+def _directions(G, n: int) -> np.ndarray:
+    """G checked as an orthonormal basis of n-vectors."""
+    G = check_basis(G, tol=ACCUMULATED_BASIS_TOL, name="G")
+    if G.shape[0] != n:
+        raise DimensionError(f"G has {G.shape[0]} rows, Y has {n}")
+    return G
+
+
 def deflate(Y, G=None) -> np.ndarray:
     """The block with the detected directions removed: (I - GG') Y, applied
     in factor form as Y - G (G'Y).  An empty G (None or zero columns) gives
@@ -82,27 +119,36 @@ def deflate(Y, G=None) -> np.ndarray:
         raise DimensionError("Y must be 2-D")
     if G is None:
         return Y
-    G = check_basis(G, tol=ACCUMULATED_BASIS_TOL, name="G")
-    if G.shape[0] != Y.shape[0]:
-        raise DimensionError(f"G has {G.shape[0]} rows, Y has {Y.shape[0]}")
+    G = _directions(G, Y.shape[0])
     Z = G @ (G.T @ Y)
     return np.subtract(Y, Z, out=Z)  # in place: one n x alpha temporary, not two
+
+
+def _deflate_moment(C: np.ndarray, G) -> np.ndarray:
+    """Psi C Psi, Psi = I - GG', in factor form with W = C G:
+    C - G W' - W G' + G (G'W) G'.  No n x n projector is formed."""
+    if G is None:
+        return C
+    G = _directions(G, C.shape[0])
+    W = C @ G
+    return C - G @ W.T - W @ G.T + G @ ((G.T @ W) @ G.T)
 
 
 def block_eig(Y, G=None) -> BlockEig:
     """Descending spectrum and leading eigenvectors of Psi (YY'/alpha) Psi,
     Psi = I - GG', factorizing the smaller of the n x n and alpha x alpha
-    Gram matrices.  No n x n matrix is formed when alpha < n."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] < 1:
-        raise DimensionError("Y must be 2-D with at least one column")
+    Gram matrices.  Y is an n x alpha array or its `reduce_block`; an array
+    is reduced on entry.  No n x n matrix is formed when alpha < n."""
+    Y = reduce_block(Y)
     n, alpha = Y.shape
+    if alpha < 1:
+        raise DimensionError("Y must have at least one column")
     if G is not None and np.ndim(G) == 2 and np.shape(G)[1] == 0:
         G = None
-    # The deflated block is a temporary: it is released before the eigensolve.
-    if n <= alpha:
-        w, V = sym_eig(empirical_covariance(deflate(Y, G)))
+    if isinstance(Y, BlockMoment):
+        w, V = sym_eig(_deflate_moment(Y.C, G))
         return BlockEig(w, Y.shape, G, V, None)
+    # The deflated block is a temporary: it is released before the eigensolve.
     w, V = sym_eig(_alpha_gram(deflate(Y, G)))
     # sym_eig's order puts every positive eigenvalue ahead of the padding, so
     # the leading columns of V still pair with eigenvalues[:k].
@@ -152,9 +198,10 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
     """Cluster-by-cluster subspace estimation over a stream of n x alpha blocks.
 
     `first` is `block_eig` of the first block, which fixes n and alpha;
-    `blocks` yields the later blocks, drawn one at a time and only when
-    needed.  Each iteration detects the leading cluster's width in the
-    current block's deflated spectrum and keeps that many eigenvectors.  The
+    `blocks` yields the later blocks, arrays or their `reduce_block`, drawn
+    one at a time and only when needed.  Each iteration detects the leading
+    cluster's width in the current block's deflated spectrum and keeps that
+    many eigenvectors.  The
     loop ends when the first eigenvalue past the detected cluster drops
     below thresh; otherwise the next block is deflated by every direction
     found so far and eigendecomposed (`block_eig`).
@@ -185,13 +232,12 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
                 f"stop flag not reached within max_clusters={cap} blocks"
             )
         try:
-            Y = np.asarray(next(blocks), dtype=float)
+            Y = next(blocks)
         except StopIteration:
             raise InsufficientDataError(
                 f"stream ended before cluster {k}; consumed {k - 1} full blocks"
             ) from None
-        if Y.ndim != 2:
-            raise DimensionError("blocks must be 2-D arrays")
+        Y = reduce_block(Y)
         if Y.shape[0] != n:
             raise DimensionError(f"block {k} has {Y.shape[0]} rows, expected {n}")
         if Y.shape[1] < alpha:

@@ -3,7 +3,8 @@
 Matrices are plain ``numpy.ndarray`` objects.  A "basis matrix" is a tall
 matrix with orthonormal columns; ``check_basis`` enforces the convention.
 The numerical functions are pure and never mutate their arguments;
-``one_blas_thread`` sets the BLAS thread count for the length of a block.
+``one_blas_thread`` sets the BLAS thread count for the length of a block,
+and parks OpenBLAS's thread pool.
 """
 
 from __future__ import annotations
@@ -133,19 +134,28 @@ def sin_theta_bound(lambda_min_a: float, lambda_max_aperp: float, h_norm: float)
 def one_blas_thread():
     """Pin each loaded OpenBLAS to one thread for the block, restoring its
     count afterwards, also on error.  Yields whether an OpenBLAS was pinned:
-    False for another BLAS, or where the loaded libraries cannot be listed."""
-    pinned = [(get(), set_) for get, set_ in _openblas_threads()]
-    for _, set_ in pinned:
+    False for another BLAS, or where the loaded libraries cannot be listed.
+
+    Once pinned, OpenBLAS's thread pool is shut down, where the library
+    exports the call: after a multi-threaded call a helper thread otherwise
+    spins for about 120 ms of CPU, on a core another thread may need.
+    OpenBLAS starts the pool again at its next multi-threaded call.  Enter
+    the block only while no other thread is inside BLAS."""
+    pinned = [(get(), set_, park) for get, set_, park in _openblas_threads()]
+    for _, set_, park in pinned:
         set_(1)
+        if park is not None:
+            park()
     try:
         yield bool(pinned)
     finally:
-        for count, set_ in pinned:
+        for count, set_, _ in pinned:
             set_(count)
 
 
 def _openblas_threads() -> list:
-    """(get, set) thread-count functions of each OpenBLAS this process loaded."""
+    """(get, set, park) of each OpenBLAS this process loaded: its thread-count
+    functions and its thread-pool shutdown, None where it exports none."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -164,6 +174,9 @@ def _openblas_threads() -> list:
                 get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
+                park = getattr(lib, "blas_thread_shutdown_", None)
+                if park is not None:
+                    park.argtypes, park.restype = [], ctypes.c_int
+                found.append((get, set_, park))
                 break
     return found

@@ -29,6 +29,7 @@ from ddnpca.bench import (
 )
 from ddnpca.cli import main
 from ddnpca.errors import ConfigError, DimensionError, ParameterError, ScheduleError
+from ddnpca.estimators import BlockMoment
 from ddnpca.linalg import one_blas_thread
 from ddnpca.spectrum import g_partition
 
@@ -400,7 +401,7 @@ def serial_one_thread(cfg):
 
 
 def blas_counts():
-    return [get() for get, _ in linalg._openblas_threads()]
+    return [get() for get, *_ in linalg._openblas_threads()]
 
 
 def failing_draw(monkeypatch, call):
@@ -479,6 +480,43 @@ class TestDrawHandOff:
         assert all(r.vartheta_hat > 1 for r in records if r.method == "cluster_evd")
         assert all(0.0 <= r.time_ms < 100.0 for r in records)
 
+    def test_time_includes_reducing_blocks(self, tmp_path, monkeypatch):
+        # n <= alpha: each block is reduced where it is drawn, mostly on the
+        # worker, and that estimator work is charged to the rows that use it
+        real = bench.reduce_block
+
+        def slow(Y):
+            time.sleep(0.05)
+            return real(Y)
+
+        monkeypatch.setattr(bench, "reduce_block", slow)
+        records, _ = run_experiment(small_cfg(trials=2), tmp_path)
+        assert any(r.vartheta_hat > 1 for r in records if r.method == "cluster_evd")
+        for r in records:
+            assert r.time_ms >= 50.0 * max(1, r.vartheta_hat)  # evd: block 1 alone
+
+    def test_estimators_get_no_block_when_n_le_alpha(self, tmp_path, monkeypatch):
+        cfg = small_cfg(trials=3)
+        assert cfg.n <= cfg.alpha
+        serial = serial_one_thread(cfg)
+        taken = []
+        real_eig, real_cluster = bench.block_eig, bench.cluster_evd
+
+        def eig(Y, G=None):
+            taken.append(Y)
+            return real_eig(Y, G)
+
+        def cluster(first, blocks, *args, **kwargs):
+            return real_cluster(first, (taken.append(Y) or Y for Y in blocks), *args, **kwargs)
+
+        monkeypatch.setattr(bench, "block_eig", eig)
+        monkeypatch.setattr(bench, "cluster_evd", cluster)
+        records, _ = run_experiment(cfg, tmp_path)
+        assert untimed(records) == untimed(serial)
+        rows = sum(r.vartheta_hat for r in records if r.method == "cluster_evd")
+        assert len(taken) == rows > cfg.trials  # block 1 of each trial, and the later ones
+        assert all(isinstance(Y, BlockMoment) and Y.shape == (cfg.n, cfg.alpha) for Y in taken)
+
 
 class TestOneAhead:
     def test_streams_arrive_whole_under_thread_switches(self):
@@ -525,12 +563,52 @@ def two_blas_threads():
     """Each loaded OpenBLAS at two threads for the test, so that a count that
     a run pins to one and fails to restore shows."""
     libs = linalg._openblas_threads()
-    counts = [get() for get, _ in libs]
-    for _, set_ in libs:
+    counts = [get() for get, *_ in libs]
+    for _, set_, _ in libs:
         set_(2)
     yield
-    for count, (_, set_) in zip(counts, libs):
+    for count, (_, set_, _) in zip(counts, libs):
         set_(count)
+
+
+class TestOneBlasThread:
+    """`one_blas_thread` pins each OpenBLAS to one thread and parks its
+    thread pool, so that no helper thread spins on a core that another
+    thread of the process needs."""
+
+    def test_parked_pool_spends_no_cpu(self, two_blas_threads):
+        if (os.cpu_count() or 1) < 2 or not any(park for *_, park in linalg._openblas_threads()):
+            pytest.skip("no OpenBLAS thread pool to park")
+        B = np.random.default_rng(0).standard_normal((500, 500))
+        np.linalg.eigvalsh(B + B.T)  # a two-thread call leaves the pool spinning
+        with one_blas_thread():
+            t0 = time.process_time()
+            time.sleep(0.2)
+            spent = time.process_time() - t0
+        assert spent < 0.02
+
+    def test_count_and_values_restored(self, two_blas_threads):
+        libs = linalg._openblas_threads()
+        if not libs:
+            pytest.skip("no OpenBLAS loaded")
+        B = np.random.default_rng(1).standard_normal((500, 500))
+        before = np.linalg.eigvalsh(B + B.T), B @ B
+        with one_blas_thread() as pinned:
+            assert pinned and blas_counts() == [1] * len(libs)
+        assert blas_counts() == [2] * len(libs)
+        after = np.linalg.eigvalsh(B + B.T), B @ B  # the pool starts again
+        for x, y in zip(before, after):
+            np.testing.assert_array_equal(x, y)
+
+    def test_pins_without_a_shutdown_call(self, monkeypatch, two_blas_threads):
+        libs = linalg._openblas_threads()
+        if not libs:
+            pytest.skip("no OpenBLAS loaded")
+        monkeypatch.setattr(linalg, "_openblas_threads",
+                            lambda: [(get, set_, None) for get, set_, _ in libs])
+        with one_blas_thread() as pinned:
+            assert pinned and blas_counts() == [1] * len(libs)
+        assert blas_counts() == [2] * len(libs)
 
 
 class TestRunLifecycle:
@@ -582,24 +660,36 @@ class TestRunLifecycle:
     def test_serial_one_thread_process_writes_the_same_bytes(self, tmp_path):
         # the contract whatever the core count: a serial loop in a process
         # whose BLAS runs one thread writes what run_experiment writes
-        path = CONFIG_DIR / "expt1.cfg"
-        cfg = dataclasses.replace(parse_config(path), trials=10)
-        script = ("import dataclasses, sys\n"
-                  "from ddnpca.bench import parse_config, records_to_csv, run_trial\n"
-                  "cfg = dataclasses.replace(parse_config(sys.argv[1]), trials=10)\n"
-                  "sys.stdout.write(records_to_csv([rec for i in range(10)"
-                  " for rec in run_trial(cfg, i)]))\n")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(REPO / "src")}
-        serial = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                                capture_output=True, text=True, timeout=120, check=True).stdout
-        run_experiment(cfg, tmp_path)
-        in_process = (tmp_path / "results.csv").read_text()
+        assert_serial_process_writes_the_same_rows(CONFIG_DIR / "expt1.cfg", 10, tmp_path)
 
-        def drop_time(text):
-            return [{k: v for k, v in row.items() if k != "time_ms"} for row in read_rows(text)]
+    def test_serial_process_writes_the_same_bytes_when_n_le_alpha(self, tmp_path):
+        # the blocks are reduced on the worker thread in run_experiment
+        assert_serial_process_writes_the_same_rows(REPO / "perfbench" / "missing_tall.cfg", 4,
+                                                   tmp_path)
 
-        assert len(read_rows(serial)) == 20
-        assert drop_time(in_process) == drop_time(serial)
+
+def assert_serial_process_writes_the_same_rows(path, trials, tmp_path):
+    """`run_experiment` of the config at `path`, cut to `trials` trials,
+    writes the rows of a serial `run_trial` loop in a process whose BLAS
+    runs one thread, outside time_ms."""
+    cfg = dataclasses.replace(parse_config(path), trials=trials)
+    script = ("import dataclasses, sys\n"
+              "from ddnpca.bench import parse_config, records_to_csv, run_trial\n"
+              "trials = int(sys.argv[2])\n"
+              "cfg = dataclasses.replace(parse_config(sys.argv[1]), trials=trials)\n"
+              "sys.stdout.write(records_to_csv([rec for i in range(trials)"
+              " for rec in run_trial(cfg, i)]))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(REPO / "src")}
+    serial = subprocess.run([sys.executable, "-c", script, str(path), str(trials)], env=env,
+                            capture_output=True, text=True, timeout=120, check=True).stdout
+    run_experiment(cfg, tmp_path)
+    in_process = (tmp_path / "results.csv").read_text()
+
+    def drop_time(text):
+        return [{k: v for k, v in row.items() if k != "time_ms"} for row in read_rows(text)]
+
+    assert len(read_rows(serial)) == 2 * trials
+    assert drop_time(in_process) == drop_time(serial)
 
 
 class TestSummarize:

@@ -21,11 +21,13 @@ from ddnpca.errors import (
 from ddnpca.datagen import SignalModel, sparse_basis
 from ddnpca.estimators import (
     BlockEig,
+    BlockMoment,
     ClusterEvdResult,
     block_eig,
     cluster_evd,
     deflate,
     detect_cluster,
+    reduce_block,
     simple_evd,
 )
 from ddnpca.linalg import empirical_covariance, subspace_error, sym_eig
@@ -224,6 +226,46 @@ class TestBlockEig:
         Y = rng.standard_normal((6, 3))
         with pytest.raises(ParameterError):
             cluster_evd(block_eig(Y, random_orthonormal(6, 1, rng)), [], 2.0, 0.01)
+
+
+class TestReduceBlock:
+    """An n <= alpha block reaches block_eig as its second moment YY'/alpha
+    (`reduce_block`), deflated in factor form; handing block_eig or
+    cluster_evd the reduced blocks gives the bits the arrays give."""
+
+    @pytest.mark.parametrize("n, alpha", [(9, 4), (4, 4), (4, 9)])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_reduced_block_gives_the_same_bits(self, n, alpha, k):
+        rng = np.random.default_rng(13)
+        Y = rng.standard_normal((n, alpha))
+        G = random_orthonormal(n, k, rng) if k else None
+        reduced = reduce_block(Y)
+        assert reduce_block(reduced) is reduced
+        if n <= alpha:
+            assert isinstance(reduced, BlockMoment) and reduced.shape == (n, alpha)
+            np.testing.assert_array_equal(reduced.C, empirical_covariance(Y))
+        else:
+            assert reduced is Y
+        a, b = block_eig(Y, G), block_eig(reduced, G)
+        assert a.shape == b.shape == (n, alpha)
+        np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+        m = min(n - k, alpha)  # the positive eigenvalues, which lift
+        np.testing.assert_array_equal(a.leading(m), b.leading(m))
+
+    @pytest.mark.parametrize("alpha", [8, 30])  # either side of n = 12
+    def test_cluster_evd_over_reduced_blocks(self, alpha):
+        rng = np.random.default_rng(14)
+        n, r = 12, 4
+        P = random_orthonormal(n, r, rng)
+        half = np.sqrt(3.0 * np.array([16.0, 8.0, 1.0, 0.5]))
+        blocks = [P @ ((2.0 * rng.random((r, alpha)) - 1.0) * half[:, None])
+                  + 0.01 * rng.standard_normal((n, alpha)) for _ in range(r)]
+        res = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
+        reduced = [reduce_block(Y) for Y in blocks]
+        again = cluster_evd(block_eig(reduced[0]), iter(reduced[1:]), 2.0, 0.1)
+        assert res.vartheta_hat > 1
+        assert again.cluster_sizes == res.cluster_sizes
+        np.testing.assert_array_equal(again.P_hat, res.P_hat)
 
 
 class TestDetectCluster:
@@ -485,12 +527,13 @@ def _cluster_result():
 @pytest.mark.parametrize("make", [
     _signal_model,
     lambda: block_eig(np.eye(4)[:, :3]),
+    lambda: reduce_block(np.eye(2, 3)),
     _cluster_result,
-], ids=["SignalModel", "BlockEig", "ClusterEvdResult"])
+], ids=["SignalModel", "BlockEig", "BlockMoment", "ClusterEvdResult"])
 def test_array_dataclasses_compare_by_identity(make):
     # equal but distinct arrays: field-wise == would have no truth value
     a, b = make(), make()
-    assert type(a) in (SignalModel, BlockEig, ClusterEvdResult)
+    assert type(a) in (SignalModel, BlockEig, BlockMoment, ClusterEvdResult)
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
 

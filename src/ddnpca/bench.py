@@ -8,7 +8,6 @@ import dataclasses
 import itertools
 import math
 import numbers
-import threading
 import time
 import typing
 from collections.abc import Sequence
@@ -169,7 +168,8 @@ def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Ge
     """One trial's observation blocks, generated on demand, each as
     (block, q, ms): the block Y as `reduce_block` leaves it, the q that
     `generate_dataset` measured, and the milliseconds the reduction took.
-    The reduction runs wherever the block is drawn.
+    The reduction runs wherever the block is drawn.  A block that fails to
+    draw is its DdnPcaError, which is then every later item, drawn no more.
 
     Block k gets its own support schedule, shifted to continue the motion of
     block k-1; every block's schedule is validated on its own, matching the
@@ -177,64 +177,43 @@ def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Ge
     the consumer bounds it (the harness caps cluster_evd at cfg.r blocks).
     """
     first_run = 0  # of the motion, for the next block's schedule
-    while True:
-        noise = _block_noise(cfg, first_run)
-        first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
-        Y, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
-        t0 = time.perf_counter()
-        Y = reduce_block(Y)
-        yield Y, q, (time.perf_counter() - t0) * 1e3
+    try:
+        while True:
+            noise = _block_noise(cfg, first_run)
+            first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
+            Y, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
+            t0 = time.perf_counter()
+            Y = reduce_block(Y)
+            yield Y, q, (time.perf_counter() - t0) * 1e3
+    except DdnPcaError as exc:
+        yield from itertools.repeat(exc)
 
 
 def _draws(cfg: ExperimentConfig, trials, plan: int):
     """The draws of `trials` in order, `plan` items per trial: (seed, model,
-    source, block 1), then blocks 2..plan, each a `_blocks` item; `source`
-    draws the trial's later blocks.  A block that fails to draw is its
-    DdnPcaError, repeated for the trial's remaining items without drawing."""
+    source, block 1), then blocks 2..plan, each a `_blocks` item of the
+    trial's `source`, which draws its later blocks."""
     for i in trials:
         rng = np.random.default_rng(cfg.base_seed + i)
         model = _build_model(cfg, rng)
         source = _blocks(model, cfg, rng)
-        block = None
-        for k in range(plan):
-            if not isinstance(block, DdnPcaError):
-                try:
-                    block = next(source)
-                except DdnPcaError as exc:
-                    block = exc
-            yield (cfg.base_seed + i, model, source, block) if k == 0 else block
+        yield cfg.base_seed + i, model, source, next(source)
+        yield from itertools.islice(source, plan - 1)
 
 
 def _one_ahead(items):
     """The items of the iterator `items`, each drawn on a worker thread while
-    the caller holds the one before it.  An exception from `items` is raised
-    where its item is taken; closing the generator joins the worker."""
-    slot, stop = [], False
-    asked, ready = threading.Semaphore(1), threading.Semaphore(0)
+    the caller holds the one before it, so one item is in flight.  An
+    exception from `items` is raised where its item is taken; closing the
+    generator joins the worker."""
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, which only `run` needs
 
-    def work():
-        while asked.acquire() and not stop:
-            try:
-                slot.append((next(items), None))
-            except BaseException as exc:  # re-raised in the caller; StopIteration ends the stream
-                slot.append((None, exc))
-            ready.release()
-
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
-    try:
-        while ready.acquire():
-            item, exc = slot.pop()
-            if isinstance(exc, StopIteration):
-                return
-            if exc is not None:
-                raise exc
-            asked.release()  # draw the next item while the caller holds this one
+    end = object()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drawn = worker.submit(next, items, end)
+        while (item := drawn.result()) is not end:
+            drawn = worker.submit(next, items, end)  # drawn while the caller holds item
             yield item
-    finally:
-        stop = True
-        asked.release()
-        worker.join()
 
 
 def _block_noise(cfg: ExperimentConfig, first_run: int):
@@ -395,9 +374,9 @@ def run_experiment(cfg: ExperimentConfig,
     is made first, so an unusable one fails before any trial runs.
 
     OpenBLAS runs one thread for the length of the run, its pool parked
-    before the worker starts, and a worker thread draws and reduces the
-    blocks one ahead while the estimators run on the block in hand; with no
-    OpenBLAS to pin, the draws are inline.  Either way the records equal
+    before the worker starts, and `_one_ahead`'s worker thread draws and
+    reduces the blocks one ahead while the estimators run on the block in
+    hand; with no OpenBLAS to pin, the draws are inline.  Either way the records equal
     those of a serial `run_trial` loop at one BLAS thread, outside time_ms.
     Each trial's first `plan` blocks come from the stream: as many as
     cluster_evd takes on the planted spectrum.

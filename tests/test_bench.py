@@ -460,6 +460,22 @@ class TestDrawHandOff:
         rows = read_rows((tmp_path / "results.csv").read_text())
         assert [row["se"] for row in rows if row["method"] == "cluster_evd"] == ["NA"] * 3
 
+    def test_block_past_the_plan_error_fails_the_rows_that_need_it(self, tmp_path,
+                                                                   monkeypatch):
+        # plan 2: a trial that finds a third cluster draws its third block itself
+        cfg = small_cfg(g_hat=4.0, trials=3)
+        assert g_partition(cfg.lambda_diag, cfg.g_hat).vartheta == 2
+        clean = untimed(serial_one_thread(cfg))
+        failing_draw(monkeypatch, 3)
+        records, _ = run_experiment(cfg, tmp_path)
+        assert untimed(records) == untimed(serial_one_thread(cfg))
+        needed = [ref.method == "cluster_evd" and ref.vartheta_hat >= 3 for ref in clean]
+        assert 0 < sum(needed) < cfg.trials
+        for rec, ref, failed in zip(untimed(records), clean, needed):
+            assert rec == ref if not failed else (rec.se is None and rec.vartheta_hat == 0)
+        rows = read_rows((tmp_path / "results.csv").read_text())
+        assert [row["se"] == "NA" for row in rows] == needed
+
     def test_block_1_error_leaves_run_experiment(self, tmp_path, monkeypatch):
         rngs = failing_draw(monkeypatch, 1)
         with pytest.raises(ScheduleError, match="block 1"):
@@ -557,6 +573,27 @@ class TestOneAhead:
                            3: list(range(500)) + ["items failed"]}
         assert threading.active_count() == before
 
+    def test_one_item_in_flight(self):
+        """Once the caller has taken k items, at most k + 1 have been asked
+        of `items`, and closing the stream asks for no more."""
+        calls = []
+
+        def counted():
+            for i in range(100):
+                calls.append(i)
+                yield i
+
+        stream = bench._one_ahead(counted())
+        for k, item in enumerate(stream, start=1):
+            time.sleep(0.001)  # time for the worker to draw further ahead, if it would
+            assert item == k - 1 and len(calls) <= k + 1
+            if k == 20:
+                break
+        stream.close()
+        assert len(calls) <= 21
+        time.sleep(0.01)
+        assert len(calls) <= 21
+
 
 @pytest.fixture
 def two_blas_threads():
@@ -643,6 +680,16 @@ class TestRunLifecycle:
         taken.write_text("")
         with pytest.raises(ConfigError):
             run_experiment(small_cfg(trials=2), taken)
+        assert (threading.active_count(), blas_counts()) == before
+
+        def failing_trial(cfg, i, *args):
+            if i == 1:  # the worker is drawing trial 2's first block
+                raise RuntimeError("injected failure of trial 2")
+            return real(cfg, i, *args)
+
+        monkeypatch.setattr(bench, "run_trial", failing_trial)
+        with pytest.raises(RuntimeError, match="trial 2"):
+            run_experiment(small_cfg(trials=3), tmp_path / "raised")
         assert (threading.active_count(), blas_counts()) == before
 
     def test_no_openblas_starts_no_thread(self, tmp_path, monkeypatch):

@@ -164,7 +164,7 @@ def effective_thresh(cfg: ExperimentConfig) -> float:
     return min(cfg.thresh, 0.5 * min(cfg.lambda_diag))
 
 
-def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Generator):
+def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Generator, noises):
     """One trial's observation blocks, generated on demand, each as
     (block, q, ms): the block Y as `reduce_block` leaves it, the q that
     `generate_dataset` measured, and the milliseconds the reduction took.
@@ -173,15 +173,18 @@ def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Ge
 
     Block k gets its own support schedule, shifted to continue the motion of
     block k-1; every block's schedule is validated on its own, matching the
-    per-batch form in which the correlation budget is consumed.  Endless:
-    the consumer bounds it (the harness caps cluster_evd at cfg.r blocks).
+    per-batch form in which the correlation budget is consumed.  Block k's
+    noise model depends on cfg and k alone: the dict `noises` keeps it from
+    first use, for every trial given that dict.  Endless: the consumer
+    bounds it (the harness caps cluster_evd at cfg.r blocks).
     """
     first_run = 0  # of the motion, for the next block's schedule
     try:
-        while True:
-            noise = _block_noise(cfg, first_run)
+        for k in itertools.count():
+            if k not in noises:  # threads that race here build equal models
+                noises[k] = _block_noise(cfg, first_run)
             first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
-            Y, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
+            Y, _, q = datagen.generate_dataset(model, noises[k], cfg.alpha, rng)
             t0 = time.perf_counter()
             Y = reduce_block(Y)
             yield Y, q, (time.perf_counter() - t0) * 1e3
@@ -192,11 +195,13 @@ def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Ge
 def _draws(cfg: ExperimentConfig, trials, plan: int):
     """The draws of `trials` in order, `plan` items per trial: (seed, model,
     source, block 1), then blocks 2..plan, each a `_blocks` item of the
-    trial's `source`, which draws its later blocks."""
+    trial's `source`, which draws its later blocks.  The sources share one
+    `noises` dict, which lives as long as they do."""
+    noises: dict = {}
     for i in trials:
         rng = np.random.default_rng(cfg.base_seed + i)
         model = _build_model(cfg, rng)
-        source = _blocks(model, cfg, rng)
+        source = _blocks(model, cfg, rng, noises)
         yield cfg.base_seed + i, model, source, next(source)
         yield from itertools.islice(source, plan - 1)
 
@@ -431,9 +436,10 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     the clustering figures come from partitioning lambda_diag at the g
     implied by the configured g_hat through the setting rule
     g_hat = 1.01*g + 0.0001, and f is that partition's condition number.
-    q is `q_gen` on the sddc channel, where it bounds ||M_st P||; on the
-    missing channel it is ||I_T' P|| as trial 0's first block measures it,
-    since that channel has no q knob.
+    q is `q_gen` on the sddc channel: the scale of M_st's entries, not a
+    bound on ||M_st P||, whose median per frame is 3.62*q_gen at s = r = 5
+    (README, deviation 3).  On the missing channel it is ||I_T' P|| as
+    trial 0's first block measures it, since that channel has no q knob.
     """
     rng = np.random.default_rng(cfg.base_seed)
     model = _build_model(cfg, rng)

@@ -226,7 +226,7 @@ class SddcNoiseModel:
             raise ParameterError(f"q_gen must be finite and non-negative, got {self.q_gen}")
 
 
-# Frames per batch of sparse-channel corruption draws and q measurements.
+# Frames per batch of sparse-channel corruption draws and products.
 # Fixed: it bounds the memory of one draw without changing any output or the
 # draw order.
 _FRAME_CHUNK = 64
@@ -250,10 +250,12 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
     Stream contract: the coefficients are drawn first, in one (r, alpha)
     batch.  The sparse channel then draws each frame's s x n corruption
     matrix in frame order; frames are handled _FRAME_CHUNK at a time, and a
-    chunk of k frames takes its matrices from one (k, s, n) draw, which
-    consumes the generator exactly as one draw per frame would.  A zero
-    q_gen draws nothing.  Each chunk is corrupted with one stacked product
-    and measured with one stacked `spectral_norm`.
+    chunk of k frames fills one reused (k, s, n) buffer with
+    `standard_normal`, then multiplies it by q_gen and adds 0.0 in place:
+    bit for bit `rng.normal(0.0, q_gen)`'s 0.0 + q_gen*z, consuming the
+    generator exactly as one draw per frame would.  A zero q_gen draws
+    nothing.  Each chunk is corrupted with one stacked product; q is one
+    stacked `spectral_norm` of every frame's M_st P.
     """
     if alpha < 1:
         raise DimensionError("alpha must be positive")
@@ -278,19 +280,22 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
         Y[S, np.arange(alpha)[:, None]] += 0.0
         return Y, A, 0.0
 
-    q_measured = 0.0
+    draw = np.empty((min(_FRAME_CHUNK, alpha), schedule.s, model.n))  # reused by every chunk
+    MP = np.empty((alpha, schedule.s, model.r))  # each frame's M_st P, for q
     for first in range(0, alpha, _FRAME_CHUNK):
         last = min(first + _FRAME_CHUNK, alpha)
-        Mst = rng.normal(0.0, noise.q_gen, size=(last - first, schedule.s, model.n))
+        Mst = draw[:last - first]
+        rng.standard_normal(out=Mst)
+        Mst *= noise.q_gen
+        Mst += 0.0  # as rng.normal adds its mean: turns a -0.0 into +0.0
         # The chunk's columns of Y, read before they are written, as a view
         # strided as Y[:, t] is, so each product is the BLAS call
         # `Mst @ ell_t` makes and sums in the same order (for s = 1 a dot
         # product, whose order depends on whether the column is contiguous).
         Y[S[first:last], np.arange(first, last)[:, None]] += \
             (Mst @ Y.T[first:last, :, None])[:, :, 0]
-        q_measured = max(q_measured, spectral_norm(Mst @ model.P))
-        del Mst  # one chunk's draw alive at a time
-    return Y, A, q_measured
+        np.matmul(Mst, model.P, out=MP[first:last])
+    return Y, A, spectral_norm(MP)
 
 
 def sparse_basis(n: int, r: int) -> np.ndarray:

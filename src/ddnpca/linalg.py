@@ -78,11 +78,23 @@ def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_norm(M) -> float:
     """Largest singular value of a matrix, or the largest over a (..., m, k)
-    stack of matrices; 0.0 when there are no entries."""
+    stack of matrices; 0.0 when there are no entries.
+
+    A stack is pruned exactly: sigma_max <= ||.||_F, so only frames whose
+    Frobenius norm reaches sigma_max of the top-Frobenius frame (less a
+    1e-10 margin for rounding) are decomposed.  The norms are taken of the
+    stack over its largest |entry|, so they neither underflow nor overflow."""
     A = np.asarray(M, dtype=float)
     if A.ndim > 2:
         if not np.isfinite(A).all():
             raise DimensionError("matrix stack contains non-finite entries")
+        scale = np.abs(A).max(initial=0.0)
+        if scale == 0.0:
+            return 0.0
+        A = A.reshape(-1, *A.shape[-2:])
+        fro = np.linalg.norm(A / scale, axis=(1, 2))
+        top = np.linalg.svd(A[fro.argmax()], compute_uv=False).max()
+        A = A[fro >= (1.0 - 1e-10) * (top / scale)]
     else:
         A = _as_matrix(A)
     if A.size == 0:

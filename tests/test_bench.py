@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,42 @@ class TestDrawHandOff:
         records, _ = run_experiment(cfg, tmp_path)
         assert untimed(records) == untimed(serial)
         assert (len(calls) > cfg.trials * plan) == past_plan
+
+    @pytest.mark.parametrize("overrides, past_plan", [
+        (dict(), False),
+        (dict(q_gen=5.0, g_hat=4.0), True),  # every trial draws one block past the plan
+        (dict(g_hat=4.0), True),             # some trials draw a block past the plan
+    ])
+    def test_noise_models_built_once_per_block_index(self, tmp_path, monkeypatch,
+                                                     overrides, past_plan):
+        cfg = small_cfg(trials=4, **overrides)
+        plan = g_partition(cfg.lambda_diag, cfg.g_hat).vartheta
+        serial = serial_one_thread(cfg)
+        schedules, models, rngs = [], [], []
+        real_schedule, real_noise = datagen.generate_support_schedule, bench._block_noise
+        real_draw = datagen.generate_dataset
+
+        def schedule(*args, **kwargs):
+            schedules.append(kwargs["first_run"])
+            return real_schedule(*args, **kwargs)
+
+        def noise(*args):
+            model = real_noise(*args)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(datagen, "generate_support_schedule", schedule)
+        monkeypatch.setattr(bench, "_block_noise", noise)
+        monkeypatch.setattr(datagen, "generate_dataset",
+                            lambda *args: rngs.append(args[3]) or real_draw(*args))
+        records, _ = run_experiment(cfg, tmp_path)
+        assert untimed(records) == untimed(serial)
+        blocks = [sum(r is rng for r in rngs) for rng in {id(r): r for r in rngs}.values()]
+        assert len(blocks) == cfg.trials and (max(blocks) > plan) == past_plan
+        # one schedule per block index drawn, in the order of the motion
+        assert len(schedules) == len(models) == max(blocks)
+        assert schedules == sorted(set(schedules))
+        assert all(model() is None for model in models)  # dropped with the run
 
     @pytest.mark.parametrize("g_hat, plan", [(4.0, 2), (2.5, 3)])
     def test_block_2_error_fails_only_the_cluster_row(self, tmp_path, monkeypatch, g_hat, plan):

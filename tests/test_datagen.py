@@ -401,14 +401,17 @@ class TestBatchedAgainstPerFrame:
     @pytest.mark.parametrize("alpha", [1, _FRAME_CHUNK - 1, _FRAME_CHUNK, _FRAME_CHUNK + 1, 130])
     @pytest.mark.parametrize("channel", ["missing", "sddc"])
     @pytest.mark.parametrize("basis", ["sparse", "random"])
-    @pytest.mark.parametrize("q_gen", [0.0, 0.05])
-    def test_chunk_boundaries(self, alpha, channel, basis, q_gen):
+    # r = 1: every frame's sigma is its Frobenius norm (ids keep r = 3's bare)
+    @pytest.mark.parametrize("q_gen, r", [(q, r) for r in (3, 1) for q in (0.0, 0.05, 1e-300)],
+                             ids=[f"{q}{'-r1' * (r == 1)}" for r in (3, 1)
+                                  for q in (0.0, 0.05, 1e-300)])
+    def test_chunk_boundaries(self, alpha, channel, basis, q_gen, r):
         # support sizes 1 to 4 across the alpha values, and two frames more
         # in the schedule than the dataset uses
         n, s = 30, 1 + alpha % 4
         rng = np.random.default_rng(alpha)
         supports = [rng.choice(n, size=s, replace=False) for _ in range(alpha + 2)]
-        model = make_model(n, 3, basis, seed=7)
+        model = make_model(n, r, basis, seed=7)
         assert_matches_per_frame(model, make_noise(channel, q_gen, n, supports), alpha, 11)
 
     @pytest.mark.parametrize("channel", ["missing", "sddc"])

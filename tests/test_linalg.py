@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddnpca.datagen import _run_starts, generate_support_schedule, random_basis
 from ddnpca.errors import BasisError, DimensionError, SpectralGapError, SymmetryError
 from ddnpca.linalg import (
     check_basis,
@@ -12,6 +13,11 @@ from ddnpca.linalg import (
     subspace_error,
     sym_eig,
 )
+
+
+def unpruned_norm(stack):
+    """Reference for a stack's spectral norm: every frame decomposed."""
+    return float(np.linalg.svd(stack, compute_uv=False).max())
 
 
 def random_orthonormal(n, k, rng):
@@ -184,6 +190,46 @@ class TestSpectralNorm:
         value = spectral_norm(M)
         assert type(value) is float
         assert value == np.linalg.norm(M, 2)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-300, 1e-160, 1e150]))
+    @settings(max_examples=200, deadline=None)
+    def test_pruned_stack_equals_unpruned(self, seed, scale):
+        # rank-1 frames have sigma equal to their Frobenius norm, and a
+        # duplicated frame ties with its copy; the scales are where unscaled
+        # Frobenius norms underflow or overflow
+        rng = np.random.default_rng(seed)
+        k, m, p = (int(d) for d in rng.integers(1, 9, size=3))
+        stack = rng.standard_normal((k, m, p))
+        for i in np.flatnonzero(rng.random(k) < 0.3):
+            stack[i] = np.outer(rng.standard_normal(m), rng.standard_normal(p))
+        for i in np.flatnonzero(rng.random(k) < 0.3):
+            stack[i] = stack[rng.integers(k)]
+        stack *= scale
+        assert spectral_norm(stack) == unpruned_norm(stack)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-160, 1e150])
+    @pytest.mark.parametrize("case", ["unit rank-1", "one frame repeated", "single frame",
+                                      "zeros", "missing channel"])
+    def test_pinned_stacks_equal_unpruned(self, case, scale):
+        rng = np.random.default_rng(17)
+        if case == "unit rank-1":  # every frame's sigma and Frobenius norm are 1
+            u = rng.standard_normal((40, 4))
+            v = rng.standard_normal((40, 3))
+            stack = (u / np.linalg.norm(u, axis=1, keepdims=True))[:, :, None] \
+                * (v / np.linalg.norm(v, axis=1, keepdims=True))[:, None, :]
+        elif case == "one frame repeated":
+            stack = np.repeat(rng.standard_normal((1, 5, 5)), 30, axis=0)
+        elif case == "single frame":
+            stack = rng.standard_normal((1, 3, 6))
+        elif case == "zeros":
+            stack = np.zeros((7, 2, 5))
+        else:  # the missing channel's q: rows of a basis on each run of missing_tall
+            P = random_basis(200, 5, rng)
+            S = generate_support_schedule(200, 2000, 2, 2, 5).supports
+            stack = P[S[_run_starts(S)]]
+            assert stack.shape == (400, 2, 5)
+        stack = stack * scale
+        assert spectral_norm(stack) == unpruned_norm(stack)
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (4, 0, 2), (2, 3, 0), (0, 0)])
     def test_empty_is_zero(self, shape):

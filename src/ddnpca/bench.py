@@ -92,9 +92,10 @@ class ExperimentConfig:
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, **overrides) -> ExperimentConfig:
     """Parse a flat `key = value` config file; `#` starts a comment.  The
-    keys and types are `ExperimentConfig`'s fields; errors name the file."""
+    keys and types are `ExperimentConfig`'s fields; errors name the file.
+    `overrides` (field=value) replace the file's values before the one check."""
     raw: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -126,7 +127,7 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{path}: key {key!r}: {expected}, got {raw[key]!r}") from None
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**(kwargs | overrides))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

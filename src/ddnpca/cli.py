@@ -4,7 +4,6 @@ and sweep the verification oracles."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from collections import Counter
 
@@ -17,8 +16,7 @@ from .spectrum import g_partition
 
 def _cmd_run(args) -> int:
     overrides = {"trials": args.trials, "base_seed": args.seed}
-    cfg = dataclasses.replace(bench.parse_config(args.config),
-                              **{k: v for k, v in overrides.items() if v is not None})
+    cfg = bench.parse_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
     records, summary = bench.run_experiment(cfg, args.out)
     print(f"wrote {args.out}/results.csv ({len(records)} records)")
     print(f"thresh_used={bench.effective_thresh(cfg):g} (configured {cfg.thresh:g})")

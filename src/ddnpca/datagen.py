@@ -136,11 +136,10 @@ class SupportSchedule:
         return self.rho * self.rho * self.beta_tilde
 
 
-def _rowwise_isin(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """(k, s) mask: A[i, j] is in row i of B.  Entries lie in [0, n), so
-    offsetting row i by i*n keeps one membership test from matching rows."""
-    offset = (np.arange(A.shape[0]) * n)[:, None]
-    return np.isin(A + offset, B + offset)
+def _rowwise_isin(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(k, s) mask: A[i, j] is in row i of B, tested against each entry of
+    the row at once, a (k, s, s) comparison, as supports are short."""
+    return (A[:, :, None] == B[:, None, :]).any(axis=2)
 
 
 def _run_starts(S: np.ndarray) -> np.ndarray:
@@ -160,13 +159,13 @@ def verify_schedule_conditions(schedule: SupportSchedule) -> dict:
     lengths = np.diff(np.r_[starts, S.shape[0]])
     R = S[starts]
     # Condition 3: no pixel leaves the support at more than one change.
-    gone = R[:-1][~_rowwise_isin(R[:-1], R[1:], n)]
+    gone = R[:-1][~_rowwise_isin(R[:-1], R[1:])]
     # Cover counts per run: each pixel of a run's support gains its length.
     counts = np.bincount(R.ravel(), weights=np.repeat(lengths, R.shape[1]), minlength=n)
     max_cover = int(counts.max())
     return {
         "condition1": bool(lengths.max() <= schedule.beta_tilde),
-        "condition2": not _rowwise_isin(R[:-rho], R[rho:], n).any(),
+        "condition2": not _rowwise_isin(R[:-rho], R[rho:]).any(),
         "condition3": bool(np.bincount(gone, minlength=1).max() <= 1),
         "cover_bound": max_cover <= schedule.beta,
         "max_cover": max_cover,

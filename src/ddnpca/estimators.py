@@ -126,12 +126,17 @@ def deflate(Y, G=None) -> np.ndarray:
 
 def _deflate_moment(C: np.ndarray, G) -> np.ndarray:
     """Psi C Psi, Psi = I - GG', in factor form with W = C G:
-    C - G W' - W G' + G (G'W) G'.  No n x n projector is formed."""
+    C - G W' - W G' + G (G'W) G', summed left to right in place.  No n x n
+    projector is formed."""
     if G is None:
         return C
     G = _directions(G, C.shape[0])
     W = C @ G
-    return C - G @ W.T - W @ G.T + G @ ((G.T @ W) @ G.T)
+    D = G @ W.T
+    np.subtract(C, D, out=D)
+    D -= W @ G.T
+    D += G @ ((G.T @ W) @ G.T)
+    return D
 
 
 def block_eig(Y, G=None) -> BlockEig:
@@ -157,7 +162,9 @@ def block_eig(Y, G=None) -> BlockEig:
 
 
 def _alpha_gram(Z: np.ndarray) -> np.ndarray:
-    return (Z.T @ Z) / Z.shape[1]
+    M = Z.T @ Z
+    M /= Z.shape[1]
+    return M
 
 
 def simple_evd(eig: BlockEig, thresh: float) -> np.ndarray:

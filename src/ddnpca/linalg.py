@@ -44,13 +44,13 @@ def check_basis(Q, tol: float = BASIS_TOL, name: str = "basis") -> np.ndarray:
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    # Sign convention: each column's largest-magnitude entry is positive (ties:
-    # lowest index).  The C-ordered copy fixes the bits of later products.
-    V = V.copy()
+    """The sign convention: V with each column's largest-magnitude entry made
+    positive (ties: lowest index), as a new C-ordered array whatever V's
+    layout, since the layout fixes the bits of later products."""
     idx = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[idx, np.arange(V.shape[1])])
     signs[signs == 0.0] = 1.0
-    return V * signs
+    return np.multiply(V, signs, order="C")
 
 
 def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
@@ -58,22 +58,24 @@ def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
     returns it but with w descending; column i of V is the sign-fixed
     eigenvector of w[i].
 
-    The input must be square and symmetric within 1e-10 relative tolerance;
-    it is symmetrized before factorization so the reconstruction residual is
-    controlled by the solver, not the input's asymmetry.
+    The input must be square and symmetric within 1e-10 relative tolerance.
+    One equal to M' bit for bit (a `Y @ Y.T` Gram) is factorized as it is,
+    since (M + M')/2 is M; another is symmetrized first, so the reconstruction
+    residual is controlled by the solver, not the input's asymmetry.
     """
     M = _as_matrix(M)
     n, m = M.shape
     if n != m:
         raise DimensionError(f"expected a square matrix, got {n}x{m}")
-    scale = max(1.0, np.max(np.abs(M))) if M.size else 1.0
-    asym = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if asym > 1e-10 * scale:
-        raise SymmetryError(f"matrix not symmetric: max |M - M'| = {asym:.3e} (scale {scale:.3e})")
-    S = (M + M.T) / 2.0
-    w, V = np.linalg.eigh(S)
-    order = np.arange(n - 1, -1, -1)
-    return w[order], _fix_signs(V[:, order])
+    bits = M.view(np.int64)  # compared as bits: +0.0 and -0.0 differ here, not in M - M'
+    if not np.array_equal(bits, bits.T):
+        scale = max(1.0, np.max(np.abs(M)))
+        asym = np.max(np.abs(M - M.T))
+        if asym > 1e-10 * scale:
+            raise SymmetryError(f"matrix not symmetric: max |M - M'| = {asym:.3e} (scale {scale:.3e})")
+        M = (M + M.T) / 2.0
+    w, V = np.linalg.eigh(M)
+    return w[::-1], _fix_signs(V[:, ::-1])
 
 
 def spectral_norm(M) -> float:
@@ -81,9 +83,9 @@ def spectral_norm(M) -> float:
     stack of matrices; 0.0 when there are no entries.
 
     A stack is pruned exactly: sigma_max <= ||.||_F, so only frames whose
-    Frobenius norm reaches sigma_max of the top-Frobenius frame (less a
-    1e-10 margin for rounding) are decomposed.  The norms are taken of the
-    stack over its largest |entry|, so they neither underflow nor overflow."""
+    Frobenius norm reaches the largest sigma_max of the 8 top-Frobenius
+    frames, less 1e-10 for rounding, are decomposed.  The norms are taken of
+    the stack over its largest |entry|, so they neither underflow nor overflow."""
     A = np.asarray(M, dtype=float)
     if A.ndim > 2:
         if not np.isfinite(A).all():
@@ -93,7 +95,7 @@ def spectral_norm(M) -> float:
             return 0.0
         A = A.reshape(-1, *A.shape[-2:])
         fro = np.linalg.norm(A / scale, axis=(1, 2))
-        top = np.linalg.svd(A[fro.argmax()], compute_uv=False).max()
+        top = np.linalg.svd(A[np.argsort(fro)[-8:]], compute_uv=False).max()
         A = A[fro >= (1.0 - 1e-10) * (top / scale)]
     else:
         A = _as_matrix(A)

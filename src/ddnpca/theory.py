@@ -139,9 +139,10 @@ def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
     """Brute-force check of the block-sum norm bound.
 
     A is an (alpha, s, s) stack, one PSD matrix per frame (a list of equal
-    shape matrices works too).  Assembles sum_t I_T A_t I_T' explicitly and
-    compares its spectral norm (lhs) against rho^2 * beta_tilde * max_t
-    ||A_t|| (rhs).
+    shape matrices works too), symmetric within 1e-9.  Assembles
+    sum_t I_T A_t I_T' explicitly, symmetrized unless every A_t is exactly
+    symmetric, and compares its spectral norm (lhs) against
+    rho^2 * beta_tilde * max_t ||A_t|| (rhs).
     """
     try:
         A = np.asarray(A, dtype=float)
@@ -167,8 +168,9 @@ def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
     T = schedule.supports
     np.add.at(S, (T[:, :, None], T[:, None, :]), A)  # frame by frame, in order
     max_norm = max(0.0, float(w[:, -1].max()))
-    # S is symmetric by construction; its spectral norm is the extreme eigenvalue
-    ws = np.linalg.eigvalsh((S + S.T) / 2.0)
+    # S is symmetric by construction; its spectral norm is the extreme eigenvalue.  From
+    # exactly symmetric frames S_ij and S_ji are equal sums in one frame order: (S + S')/2 is S.
+    ws = np.linalg.eigvalsh(S if not asym.any() else (S + S.T) / 2.0)
     lhs = float(max(abs(ws[0]), abs(ws[-1])))
     rhs = schedule.beta * max_norm
     return lhs, rhs, lhs <= rhs + 1e-9

@@ -866,6 +866,35 @@ class TestCli:
         assert len(rows) == 4
         assert rows[0]["seed"] == "99"
 
+    def test_run_checks_the_config_once(self, tmp_path, monkeypatch):
+        # the overrides go into the one config check, which builds block 0's
+        # schedule; the run then builds each block index's schedule once
+        first_runs = []
+        real = datagen.generate_support_schedule
+
+        def schedule(*args, **kwargs):
+            first_runs.append(kwargs["first_run"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "generate_support_schedule", schedule)
+        assert main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert first_runs == [0, 0, 300]
+        assert len(read_rows((tmp_path / "results.csv").read_text())) == 4
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "trials must be positive"),
+        ("--seed", "-1", "base_seed must be non-negative"),
+    ])
+    def test_run_rejects_bad_overrides(self, tmp_path, monkeypatch, capsys, flag, value,
+                                       message):
+        monkeypatch.setattr(bench, "run_experiment", lambda *a: pytest.fail("ran"))
+        path = CONFIG_DIR / "expt1.cfg"
+        assert main(["run", str(path), flag, value, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
+            parse_config(path, **{"trials" if flag == "--trials" else "base_seed": int(value)})
+
     def test_run_reports_derated_threshold(self, tmp_path, capsys):
         rc = main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "1",
                    "--out", str(tmp_path)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ddnpca.datagen import (
     _FRAME_CHUNK,
     _coefficient_matrix,
+    _rowwise_isin,
     MissingNoiseModel,
     SddcNoiseModel,
     SignalModel,
@@ -538,6 +539,24 @@ class TestScheduleAgainstBruteForce:
             assert str(direct.value) == str(exc)
             return
         assert sched.supports.tolist() == [list(T) for T in expected]
+
+
+def offset_isin(A, B, n):
+    """Reference for _rowwise_isin: one np.isin of the rows offset by i*n,
+    which keeps entries in [0, n) of different rows from matching."""
+    offset = (np.arange(A.shape[0]) * n)[:, None]
+    return np.isin(A + offset, B + offset)
+
+
+class TestRowwiseIsin:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 8), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_offset_isin(self, seed, k, s, n):
+        rng = np.random.default_rng(seed)
+        A, B = (rng.integers(0, n, size=(k, s)).astype(np.intp) for _ in range(2))
+        got = _rowwise_isin(A, B)
+        assert got.dtype == bool and got.shape == (k, s)
+        np.testing.assert_array_equal(got, offset_isin(A, B, n))
 
 
 class TestBases:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ddnpca.datagen import _run_starts, generate_support_schedule, random_basis
 from ddnpca.errors import BasisError, DimensionError, SpectralGapError, SymmetryError
 from ddnpca.linalg import (
+    _fix_signs,
     check_basis,
     empirical_covariance,
     sin_theta_bound,
@@ -18,6 +19,24 @@ from ddnpca.linalg import (
 def unpruned_norm(stack):
     """Reference for a stack's spectral norm: every frame decomposed."""
     return float(np.linalg.svd(stack, compute_uv=False).max())
+
+
+def reference_fix_signs(V):
+    """The sign convention as first written: a C-ordered copy, then the
+    product with each column's sign."""
+    V = V.copy()
+    idx = np.argmax(np.abs(V), axis=0)
+    signs = np.sign(V[idx, np.arange(V.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return V * signs
+
+
+def reference_sym_eig(M):
+    """sym_eig as first written: eigh of (M + M')/2 always, reversed by a
+    fancy index, then sign-fixed."""
+    w, V = np.linalg.eigh((M + M.T) / 2.0)
+    order = np.arange(M.shape[0] - 1, -1, -1)
+    return w[order], reference_fix_signs(V[:, order])
 
 
 def random_orthonormal(n, k, rng):
@@ -85,6 +104,60 @@ class TestSymEig:
             wa, _ = sym_eig(A)
             wb, _ = sym_eig(A + H)
             assert np.max(np.abs(wa - wb)) <= spectral_norm(H) + 1e-12
+
+
+class TestSymEigBits:
+    """sym_eig factorizes an exactly symmetric input as it is and the others
+    symmetrized; either way it gives the bits and layout of the reference,
+    which always symmetrizes."""
+
+    @staticmethod
+    def assert_same_bits(M):
+        w, V = sym_eig(M)
+        ref_w, ref_V = reference_sym_eig(np.asarray(M, dtype=float))
+        assert w.tobytes() == ref_w.tobytes()
+        assert V.tobytes() == ref_V.tobytes()
+        assert V.flags.c_contiguous
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 60),
+           st.sampled_from(["gram", "sum", "asymmetric"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_symmetrized_reference(self, seed, n, alpha, kind):
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((n, alpha)) * rng.uniform(0.01, 100.0)
+        if kind == "gram":  # as `empirical_covariance` makes it: symmetric bit for bit
+            M = (Y @ Y.T) / alpha
+            assert M.tobytes() == M.T.copy().tobytes()
+        else:
+            A = rng.standard_normal((n, n))
+            M = A + A.T
+            if kind == "asymmetric":  # within the 1e-10 relative tolerance
+                M = M + 1e-11 * np.abs(M).max() * rng.uniform(-1.0, 1.0, (n, n))
+        self.assert_same_bits(M)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided view"])
+    def test_layouts_and_signed_zero_pairs(self, layout):
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((7, 7))
+        M = A + A.T
+        M[2, 5], M[5, 2] = 0.0, -0.0  # equal, not the same bits
+        M[0, 3] = M[3, 0] = -0.0
+        if layout == "F":
+            M = np.asfortranarray(M)
+        elif layout == "strided view":
+            M = np.kron(M, np.ones((2, 2)))[::2, ::2]
+        self.assert_same_bits(M)
+
+    @pytest.mark.parametrize("view", ["reversed", "F-ordered", "column slice"])
+    def test_fix_signs_matches_copy_then_product(self, view):
+        rng = np.random.default_rng(9)
+        V = rng.standard_normal((6, 5))
+        V[:, 2] = 0.0  # an all-zero column keeps its sign
+        V = {"reversed": V[:, ::-1], "F-ordered": np.asfortranarray(V),
+             "column slice": V[:, 1:4]}[view]
+        got = _fix_signs(V)
+        assert got.tobytes() == reference_fix_signs(V).tobytes()
+        assert got.flags.c_contiguous
 
 
 class TestTopEigenvectors:
@@ -206,6 +279,26 @@ class TestSpectralNorm:
             stack[i] = stack[rng.integers(k)]
         stack *= scale
         assert spectral_norm(stack) == unpruned_norm(stack)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_seed_frames_prune_no_less_than_the_top_frame(self, seed, k):
+        # the largest sigma of the top-Frobenius frames is at least the top
+        # frame's, so no frame survives that the top frame's sigma would prune
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((k, 5, 5)) * rng.uniform(0.1, 10.0, (k, 1, 1))
+        scale = np.abs(stack).max()
+        fro = np.linalg.norm(stack / scale, axis=(1, 2))
+        top = np.linalg.svd(stack[fro.argmax()], compute_uv=False).max()
+        single_seed_kept = int(np.count_nonzero(fro >= (1.0 - 1e-10) * (top / scale)))
+        decomposed = []
+        real_svd = np.linalg.svd
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(np.linalg, "svd",
+                                lambda a, **kw: decomposed.append(len(a)) or real_svd(a, **kw))
+            assert spectral_norm(stack) == unpruned_norm(stack)
+        assert decomposed[0] == min(k, 8)  # the seed frames
+        assert 1 <= decomposed[1] <= single_seed_kept
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-160, 1e150])
     @pytest.mark.parametrize("case", ["unit rank-1", "one frame repeated", "single frame",

@@ -312,6 +312,20 @@ class TestM2BoundAgainstPerFrame:
     def test_pinned_wrapped_schedules(self, monkeypatch, n, alpha, s, rho, beta_tilde):
         assert_sweep_matches_per_frame(monkeypatch, 4, 2024, n, alpha, s, rho, beta_tilde)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_frames_asymmetric_within_tolerance(self, seed, s, one_frame):
+        # an asymmetric frame makes the sum asymmetric, which is then
+        # symmetrized as the per-frame reference always does
+        sched = generate_support_schedule(60, 40, s, 2, 1, start=seed % 60)
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((40, s, s))
+        A = np.swapaxes(B, 1, 2) @ B
+        frames = [int(rng.integers(40))] if one_frame else range(40)
+        for t in frames:
+            A[t] += 1e-10 * max(1.0, np.abs(A[t]).max()) * rng.uniform(-1.0, 1.0, (s, s))
+        assert verify_m2_bound(sched, A) == per_frame_m2_bound(sched, list(A))
+
     def test_first_bad_frame_named(self):
         sched = generate_support_schedule(40, 12, 3, 1, 1)
         rng = np.random.default_rng(5)

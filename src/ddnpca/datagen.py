@@ -301,7 +301,7 @@ def sparse_basis(n: int, r: int) -> np.ndarray:
     """First r columns of the identity."""
     if not 1 <= r <= n:
         raise DimensionError(f"r={r} out of range for n={n}")
-    return np.eye(n)[:, :r].copy()
+    return np.eye(n, r)
 
 
 def random_basis(n: int, r: int, rng: np.random.Generator) -> np.ndarray:

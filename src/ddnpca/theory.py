@@ -170,7 +170,7 @@ def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
     max_norm = max(0.0, float(w[:, -1].max()))
     # S is symmetric by construction; its spectral norm is the extreme eigenvalue.  From
     # exactly symmetric frames S_ij and S_ji are equal sums in one frame order: (S + S')/2 is S.
-    ws = np.linalg.eigvalsh(S if not asym.any() else (S + S.T) / 2.0)
+    ws = np.linalg.eigvalsh((S + S.T) / 2.0 if asym.any() else S)
     lhs = float(max(abs(ws[0]), abs(ws[-1])))
     rhs = schedule.beta * max_norm
     return lhs, rhs, lhs <= rhs + 1e-9

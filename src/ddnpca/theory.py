@@ -135,14 +135,16 @@ def beta_frac_cluster(inp: BoundInputs) -> float:
     )
 
 
-def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
+def verify_m2_bound(schedule: SupportSchedule, A, out=None) -> tuple[float, float, bool]:
     """Brute-force check of the block-sum norm bound.
 
     A is an (alpha, s, s) stack, one PSD matrix per frame (a list of equal
     shape matrices works too), symmetric within 1e-9.  Assembles
     sum_t I_T A_t I_T' explicitly, symmetrized unless every A_t is exactly
     symmetric, and compares its spectral norm (lhs) against
-    rho^2 * beta_tilde * max_t ||A_t|| (rhs).
+    rho^2 * beta_tilde * max_t ||A_t|| (rhs).  The sum is built in `out`
+    when given, a writeable float64 (n, n) array whose contents are
+    overwritten; the result does not depend on them.
     """
     try:
         A = np.asarray(A, dtype=float)
@@ -164,7 +166,12 @@ def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
         if not_symmetric[t]:
             raise PsdError(f"frame {t}: matrix is not symmetric")
         raise PsdError(f"frame {t}: negative eigenvalue {w[t, 0]:.3e}")
-    S = np.zeros((schedule.n, schedule.n))
+    n = schedule.n
+    S = np.empty((n, n)) if out is None else out
+    if not (isinstance(S, np.ndarray) and S.dtype == np.float64 and S.shape == (n, n)
+            and S.flags.writeable):
+        raise DimensionError(f"out must be a writeable float64 ({n}, {n}) array")
+    S.fill(0.0)
     T = schedule.supports
     np.add.at(S, (T[:, :, None], T[:, None, :]), A)  # frame by frame, in order
     max_norm = max(0.0, float(w[:, -1].max()))

@@ -821,6 +821,28 @@ class TestClusterPlot:
             emit_cluster_plot([8.0, 4.0, 2.0], part, tmp_path / "x.txt")
 
 
+class TestSweepShapes:
+    """A sweep shape no draw can use raises before anything is drawn."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw or buffer was made")
+
+        monkeypatch.setattr(bench.np.random, "default_rng", refuse)
+        monkeypatch.setattr(bench.np, "empty", refuse)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_block_sum_sweep_needs_a_coordinate(self, no_draws, n):
+        with pytest.raises(ParameterError, match=f"need n >= 1, got n={n}"):
+            bench.block_sum_bound_sweep(draws=2, n=n)
+
+    @pytest.mark.parametrize("max_n", [2, 0, -1])
+    def test_sin_theta_sweep_needs_three_dimensions(self, no_draws, max_n):
+        with pytest.raises(ParameterError, match=f"need max_n >= 3, got max_n={max_n}"):
+            bench.sin_theta_sweep(instances=2, max_n=max_n)
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"

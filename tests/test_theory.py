@@ -265,15 +265,19 @@ def per_frame_sweep(draws, seed, n, alpha, s, rho, beta_tilde):
 
 
 def assert_sweep_matches_per_frame(monkeypatch, draws, seed, n, alpha, s, rho, beta_tilde):
-    made, seen = [], []
+    made, seen, buffers = [], [], []
     default_rng, oracle = np.random.default_rng, bench.verify_m2_bound
 
     def capture_rng(*args, **kwargs):
         made.append(default_rng(*args, **kwargs))
         return made[-1]
 
-    def record(schedule, A):
-        seen.append(oracle(schedule, A))
+    def record(schedule, A, **kwargs):
+        buffers.append(kwargs.get("out"))
+        # one (n, n) buffer for the whole sweep
+        assert isinstance(buffers[0], np.ndarray) and buffers[0].shape == (n, n)
+        assert buffers[-1] is buffers[0]
+        seen.append(oracle(schedule, A, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(bench.np.random, "default_rng", capture_rng)
@@ -341,6 +345,55 @@ class TestM2BoundAgainstPerFrame:
             with pytest.raises(PsdError, match=f"^frame {frame}: ") as got:
                 verify_m2_bound(sched, stack)
             assert str(got.value) == str(ref.value)
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+class TestM2BoundOut:
+    """A caller's buffer changes where the sum is built, never the result."""
+
+    @staticmethod
+    def draw(seed, n, asymmetric):
+        sched = generate_support_schedule(n, 40, 3, 2, 1, start=seed % n)
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((40, 3, 3))
+        A = np.swapaxes(B, 1, 2) @ B
+        if asymmetric:  # within 1e-9: the sum is symmetrized
+            A += 1e-10 * np.abs(A).max(axis=(1, 2), keepdims=True) * rng.uniform(-1.0, 1.0, A.shape)
+        return sched, A
+
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["exact", "symmetrized"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("buffer", ["clean", "nan", "leftover"])
+    def test_result_equals_fresh_sum(self, buffer, seed, asymmetric):
+        sched, A = self.draw(seed, 60, asymmetric)
+        expected = verify_m2_bound(sched, A)
+        if buffer == "clean":
+            out = np.zeros((60, 60))
+        elif buffer == "nan":
+            out = np.full((60, 60), np.nan)
+        else:  # what another schedule's draw left behind
+            out = np.empty((60, 60))
+            verify_m2_bound(*self.draw(seed + 100, 60, not asymmetric), out=out)
+        assert verify_m2_bound(sched, A, out=out) == expected
+        assert verify_m2_bound(sched, A, out=out) == expected  # reused as it was left
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((60, 61)),
+        np.zeros((61, 61)),
+        np.zeros(3600),
+        np.zeros((60, 60), dtype=np.float32),
+        np.zeros((60, 60), dtype=np.int64),
+        np.zeros((60, 60)).tolist(),
+        read_only(np.zeros((60, 60))),
+    ], ids=["columns", "rows", "flat", "float32", "int64", "list", "read-only"])
+    def test_unusable_buffer_rejected(self, out):
+        sched, A = self.draw(0, 60, False)
+        with pytest.raises(DimensionError, match="out must be"):
+            verify_m2_bound(sched, A, out=out)
 
 
 class TestSinThetaGapCheck:

@@ -16,6 +16,7 @@ from .errors import (
     ParameterError,
 )
 from .linalg import ACCUMULATED_BASIS_TOL, _fix_signs, check_basis, empirical_covariance, sym_eig
+from .linalg import deflate  # called by this module's name, which perfbench traces
 from .spectrum import _check_spectrum, _cluster_width
 
 
@@ -102,43 +103,6 @@ class BlockEig:
         return _fix_signs(ZV / np.sqrt(alpha * w))
 
 
-def _directions(G, n: int) -> np.ndarray:
-    """G checked as an orthonormal basis of n-vectors."""
-    G = check_basis(G, tol=ACCUMULATED_BASIS_TOL, name="G")
-    if G.shape[0] != n:
-        raise DimensionError(f"G has {G.shape[0]} rows, Y has {n}")
-    return G
-
-
-def deflate(Y, G=None) -> np.ndarray:
-    """The block with the detected directions removed: (I - GG') Y, applied
-    in factor form as Y - G (G'Y).  An empty G (None or zero columns) gives
-    Y's values unchanged."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise DimensionError("Y must be 2-D")
-    if G is None:
-        return Y
-    G = _directions(G, Y.shape[0])
-    Z = G @ (G.T @ Y)
-    return np.subtract(Y, Z, out=Z)  # in place: one n x alpha temporary, not two
-
-
-def _deflate_moment(C: np.ndarray, G) -> np.ndarray:
-    """Psi C Psi, Psi = I - GG', in factor form with W = C G:
-    C - G W' - W G' + G (G'W) G', summed left to right in place.  No n x n
-    projector is formed."""
-    if G is None:
-        return C
-    G = _directions(G, C.shape[0])
-    W = C @ G
-    D = G @ W.T
-    np.subtract(C, D, out=D)
-    D -= W @ G.T
-    D += G @ ((G.T @ W) @ G.T)
-    return D
-
-
 def block_eig(Y, G=None) -> BlockEig:
     """Descending spectrum and leading eigenvectors of Psi (YY'/alpha) Psi,
     Psi = I - GG', factorizing the smaller of the n x n and alpha x alpha
@@ -151,7 +115,8 @@ def block_eig(Y, G=None) -> BlockEig:
     if G is not None and np.ndim(G) == 2 and np.shape(G)[1] == 0:
         G = None
     if isinstance(Y, BlockMoment):
-        w, V = sym_eig(_deflate_moment(Y.C, G))
+        # Psi C Psi as Psi (Psi C)', C being symmetric; C itself when G is None
+        w, V = sym_eig(deflate(deflate(Y.C, G).T, G))
         return BlockEig(w, Y.shape, G, V, None)
     # The deflated block is a temporary: it is released before the eigensolve.
     w, V = sym_eig(_alpha_gram(deflate(Y, G)))

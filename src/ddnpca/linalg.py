@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition, basis utilities, and the subspace-error metric.
+"""Dense symmetric eigendecomposition, basis utilities, the projector I - GG', and the subspace-error metric.
 
 Matrices are plain ``numpy.ndarray`` objects.  A "basis matrix" is a tall
 matrix with orthonormal columns; ``check_basis`` enforces the convention.
@@ -104,19 +104,31 @@ def spectral_norm(M) -> float:
     return float(np.linalg.svd(A, compute_uv=False).max())
 
 
+def deflate(Y, G=None) -> np.ndarray:
+    """Psi Y, Psi = I - GG' removing the directions G, in factor form Y - G (G'Y).
+    G is checked orthonormal at ACCUMULATED_BASIS_TOL, with Y's row count; an
+    empty G (None or zero columns) gives Y's values unchanged."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise DimensionError("Y must be 2-D")
+    if G is None:
+        return Y
+    G = check_basis(G, tol=ACCUMULATED_BASIS_TOL, name="G")
+    if G.shape[0] != Y.shape[0]:
+        raise DimensionError(f"G has {G.shape[0]} rows, Y has {Y.shape[0]}")
+    Z = G @ (G.T @ Y)
+    return np.subtract(Y, Z, out=Z)  # in place: one temporary the size of Y, not two
+
+
 def subspace_error(Phat, P) -> float:
     """sin of the largest principal angle from range(P) into range(Phat).
 
-    Computed as the spectral norm of (I - Phat Phat') P and clamped to [0, 1]
-    against roundoff.  Asymmetric when the column counts differ.  Inputs are
-    validated at ACCUMULATED_BASIS_TOL.
+    Computed as the spectral norm of `deflate(P, Phat)`, (I - Phat Phat') P,
+    and clamped to [0, 1] against roundoff.  Asymmetric when the column
+    counts differ.  Both bases are validated at ACCUMULATED_BASIS_TOL.
     """
-    Phat = check_basis(Phat, tol=ACCUMULATED_BASIS_TOL, name="Phat")
     P = check_basis(P, tol=ACCUMULATED_BASIS_TOL, name="P")
-    if Phat.shape[0] != P.shape[0]:
-        raise DimensionError(f"row dimensions differ: {Phat.shape[0]} vs {P.shape[0]}")
-    R = P - Phat @ (Phat.T @ P)
-    return min(1.0, max(0.0, spectral_norm(R)))
+    return min(1.0, max(0.0, spectral_norm(deflate(P, Phat))))
 
 
 def empirical_covariance(Y) -> np.ndarray:

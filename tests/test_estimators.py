@@ -252,6 +252,26 @@ class TestReduceBlock:
         m = min(n - k, alpha)  # the positive eigenvalues, which lift
         np.testing.assert_array_equal(a.leading(m), b.leading(m))
 
+    def test_moment_is_deflated_through_the_traced_name(self, monkeypatch):
+        # perfbench times the deflation by wrapping estimators.deflate; the
+        # moment path forms Psi C Psi as two calls of that name
+        rng = np.random.default_rng(15)
+        Y = rng.standard_normal((6, 9))
+        G = random_orthonormal(6, 2, rng)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return deflate(*args)
+
+        monkeypatch.setattr(estimators, "deflate", spy)
+        eig = block_eig(reduce_block(Y), G)
+        assert len(calls) == 2
+        Psi = np.eye(6) - G @ G.T
+        np.testing.assert_allclose(eig.eigenvalues,
+                                   np.linalg.eigvalsh(Psi @ empirical_covariance(Y) @ Psi)[::-1],
+                                   atol=1e-12)
+
     @pytest.mark.parametrize("alpha", [8, 30])  # either side of n = 12
     def test_cluster_evd_over_reduced_blocks(self, alpha):
         rng = np.random.default_rng(14)

@@ -205,6 +205,27 @@ class TestSubspaceError:
         with pytest.raises(DimensionError):
             subspace_error(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
+    def test_bad_bases_rejected(self):
+        P = np.eye(4)[:, :2]
+        with pytest.raises(BasisError):
+            subspace_error(np.ones((4, 2)), P)   # Phat not orthonormal
+        with pytest.raises(BasisError):
+            subspace_error(np.eye(2, 3), P)      # Phat wider than tall
+        with pytest.raises(BasisError):
+            subspace_error(P, 2.0 * P)           # P not orthonormal
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_of_the_factor_form(self, seed):
+        # subspace_error is spectral_norm(deflate(P, Phat)), clamped: the
+        # factor form written out gives the same bits
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        Phat = random_orthonormal(n, int(rng.integers(0, n + 1)), rng)
+        P = random_orthonormal(n, int(rng.integers(1, n + 1)), rng)
+        expected = min(1.0, max(0.0, spectral_norm(P - Phat @ (Phat.T @ P))))
+        assert subspace_error(Phat, P) == expected
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_rotation_invariance(self, seed):

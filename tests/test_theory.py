@@ -179,6 +179,23 @@ class TestVerifyM2Bound:
         assert rhs == sched.beta
         assert holds
 
+    @pytest.mark.parametrize("n, alpha, s, rho, beta_tilde, start, bound", [
+        (500, 300, 5, 2, 1, 0, 4.0),      # the verify command's setting
+        (500, 300, 5, 2, 1, 7, 4.0),
+        (500, 300, 5, 2, 1, 497, 4.0),    # wraps at once
+        (500, 300, 5, 2, 1, 499, 4.0),
+        (200, 2000, 2, 2, 5, 0, 20.0),    # missing_tall's schedule
+    ])
+    def test_identity_frames_attain_the_bound(self, n, alpha, s, rho, beta_tilde, start, bound):
+        # with identity frames the sum is diagonal, entry i counting the frames
+        # whose support holds i; on these schedules the wrapping support
+        # passes some i rho = 2 times, each time for rho runs of beta_tilde
+        # frames: rho^2 * beta_tilde in all
+        sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start)
+        lhs, rhs, holds = verify_m2_bound(sched, np.broadcast_to(np.eye(s), (alpha, s, s)))
+        assert lhs == rhs == bound
+        assert holds
+
     def test_wrapped_reference_schedule_random_psd(self):
         rng = np.random.default_rng(1)
         sched = generate_support_schedule(500, 300, 5, 2, 1)
@@ -409,6 +426,14 @@ class TestSinThetaGapCheck:
         bound, measured = sin_theta_gap_check(A, H, 2)
         assert bound == pytest.approx(0.1 / (1.0 - 0.0 - 0.1), rel=1e-12)
         assert measured <= bound + 1e-9
+
+    def test_weak_coupling_nearly_attains_the_bound(self):
+        # the top eigenvector of diag(1, 0) + eps [[0, 1], [1, 0]] turns by
+        # arctan(2 eps)/2, about eps, against a bound of eps/(1 - eps)
+        H = 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        bound, measured = sin_theta_gap_check(np.diag([1.0, 0.0]), H, 1)
+        assert measured <= bound
+        assert measured / bound >= 0.99
 
     def test_r_out_of_range(self):
         # a top-r eigenspace with a complement needs 1 <= r < n

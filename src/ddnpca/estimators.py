@@ -88,19 +88,19 @@ class BlockEig:
     _block: np.ndarray | None  # Y as given, before deflation, to lift from; None when n <= alpha
 
     def leading(self, k: int) -> np.ndarray:
-        """Sign-fixed n x k eigenvectors of the k largest eigenvalues."""
+        """Sign-fixed n x k eigenvectors of the k largest eigenvalues, in a new C-ordered array."""
         n, alpha = self.shape
         if not 0 <= k <= n:
             raise DimensionError(f"k={k} out of range for n={n}")
-        if self._block is None:
-            return self._vectors[:, :k]
-        w = self.eigenvalues[:k]
-        if k > 0 and not w[-1] > 0.0:
-            raise EmptySubspaceError(
-                f"eigenvalue {k} is {w[-1]:.3e}; only positive eigenvalues have a lifted eigenvector"
-            )
-        ZV = deflate(self._block @ self._vectors[:, :k], self.G)
-        return _fix_signs(ZV / np.sqrt(alpha * w))
+        V = self._vectors[:, :k]
+        if self._block is not None:
+            w = self.eigenvalues[:k]
+            if k > 0 and not w[-1] > 0.0:
+                raise EmptySubspaceError(
+                    f"eigenvalue {k} is {w[-1]:.3e}; only positive eigenvalues have a lifted eigenvector"
+                )
+            V = deflate(self._block @ V, self.G) / np.sqrt(alpha * w)
+        return _fix_signs(V)
 
 
 def block_eig(Y, G=None) -> BlockEig:

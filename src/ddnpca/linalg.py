@@ -44,9 +44,9 @@ def check_basis(Q, tol: float = BASIS_TOL, name: str = "basis") -> np.ndarray:
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """The sign convention: V with each column's largest-magnitude entry made
-    positive (ties: lowest index), as a new C-ordered array whatever V's
-    layout, since the layout fixes the bits of later products."""
+    """The sign convention, applied where vectors leave the package (`BlockEig.leading`
+    and `random_basis`): each column's largest-magnitude entry made positive (ties: lowest
+    index), in a new C-ordered array whatever V's layout, since that fixes later products' bits."""
     idx = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[idx, np.arange(V.shape[1])])
     signs[signs == 0.0] = 1.0
@@ -55,8 +55,8 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, V) of a symmetric matrix, as `np.linalg.eigh`
-    returns it but with w descending; column i of V is the sign-fixed
-    eigenvector of w[i].
+    returns it, vectors and signs, but with w descending (a reversed view);
+    the sign convention, `_fix_signs`, is applied where vectors leave the package.
 
     The input must be square and symmetric within 1e-10 relative tolerance.
     One equal to M' bit for bit (a `Y @ Y.T` Gram) is factorized as it is,
@@ -75,7 +75,7 @@ def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
             raise SymmetryError(f"matrix not symmetric: max |M - M'| = {asym:.3e} (scale {scale:.3e})")
         M = (M + M.T) / 2.0
     w, V = np.linalg.eigh(M)
-    return w[::-1], _fix_signs(V[:, ::-1])
+    return w[::-1], V[:, ::-1]
 
 
 def spectral_norm(M) -> float:

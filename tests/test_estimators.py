@@ -30,7 +30,7 @@ from ddnpca.estimators import (
     reduce_block,
     simple_evd,
 )
-from ddnpca.linalg import empirical_covariance, subspace_error, sym_eig
+from ddnpca.linalg import _fix_signs, empirical_covariance, subspace_error, sym_eig
 from ddnpca.spectrum import g_partition
 
 
@@ -208,8 +208,26 @@ class TestBlockEig:
         rng = np.random.default_rng(9)
         Y = low_rank_block(10, 4, 4, rng)
         U = block_eig(Y).leading(4)
-        V = sym_eig(empirical_covariance(Y))[1][:, :4]
+        V = _fix_signs(sym_eig(empirical_covariance(Y))[1])[:, :4]
         np.testing.assert_allclose(U, V, atol=1e-10)
+
+    @pytest.mark.parametrize("n, alpha", [(6, 9), (6, 6), (9, 4)])
+    @pytest.mark.parametrize("deflated", [False, True])
+    def test_leading_is_c_ordered_and_sign_fixed(self, n, alpha, deflated):
+        # the moment path (n <= alpha) and the lift path (alpha < n) alike
+        rng = np.random.default_rng(14)
+        G = random_orthonormal(n, 1, rng) if deflated else None
+        eig = block_eig(rng.standard_normal((n, alpha)), G)
+        rank = int(np.count_nonzero(eig.eigenvalues > 0.0)) if alpha < n else n
+        for k in range(n + 1):
+            if k > rank:  # the lift path has no vector for a zero eigenvalue
+                with pytest.raises(EmptySubspaceError):
+                    eig.leading(k)
+                continue
+            U = eig.leading(k)
+            assert U.shape == (n, k)
+            assert U.flags.c_contiguous
+            assert np.all(U[np.argmax(np.abs(U), axis=0), np.arange(k)] >= 0.0)
 
     def test_zero_eigenvalue_not_lifted(self):
         Y = np.zeros((5, 2))

@@ -79,11 +79,11 @@ class TestSymEig:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((6, 6))
         M = A + A.T
-        _, V = sym_eig(M)
+        V = _fix_signs(sym_eig(M)[1])
         for j in range(6):
             v = V[:, j]
             assert v[np.argmax(np.abs(v))] > 0
-        _, V2 = sym_eig(M.copy())
+        V2 = _fix_signs(sym_eig(M.copy())[1])
         np.testing.assert_array_equal(V, V2)
 
     def test_rejects_nonsquare_and_asymmetric(self):
@@ -108,12 +108,13 @@ class TestSymEig:
 
 class TestSymEigBits:
     """sym_eig factorizes an exactly symmetric input as it is and the others
-    symmetrized; either way it gives the bits and layout of the reference,
-    which always symmetrizes."""
+    symmetrized; either way its V, once `_fix_signs` applies the convention,
+    has the bits and layout of the reference, which always symmetrizes."""
 
     @staticmethod
     def assert_same_bits(M):
         w, V = sym_eig(M)
+        V = _fix_signs(V)
         ref_w, ref_V = reference_sym_eig(np.asarray(M, dtype=float))
         assert w.tobytes() == ref_w.tobytes()
         assert V.tobytes() == ref_V.tobytes()
@@ -249,6 +250,24 @@ class TestSubspaceError:
         P1 = random_orthonormal(n, k, rng)
         P2 = random_orthonormal(n, k, rng)
         assert abs(subspace_error(P1, P2) - subspace_error(P2, P1)) <= 1e-9
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_column_signs_do_not_matter(self, seed):
+        # so sym_eig's unfixed signs cannot move what theory.sin_theta_gap_check
+        # measures with them: a flip in Phat cancels in Phat (Phat' P) bit for
+        # bit, and one in P only negates columns of the SVD's input
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        Phat = random_orthonormal(n, int(rng.integers(0, n + 1)), rng)
+        P = random_orthonormal(n, int(rng.integers(1, n + 1)), rng)
+        base = subspace_error(Phat, P)
+
+        def flip(Q):
+            return Q * rng.choice([-1.0, 1.0], Q.shape[1])
+
+        assert subspace_error(flip(Phat), P) == base
+        assert abs(subspace_error(Phat, flip(P)) - base) <= 2.3e-16
 
 
 class TestSpectralNorm:

@@ -1,24 +1,29 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import theory_reference as ref
 from ddnpca import bench
 from ddnpca.datagen import SupportSchedule, generate_support_schedule
 from ddnpca.errors import DimensionError, ParameterError, PsdError, ScheduleError, SpectralGapError
 from ddnpca.theory import (
     BoundInputs,
+    _chi_plus_cap,
     alpha0_cluster,
     alpha0_simple,
     beta_frac_cluster,
     beta_frac_simple,
     sin_theta_gap_check,
     verify_m2_bound,
+    zeta_caps,
 )
 
-# Regression constants frozen from scripts/freeze_theory_constants.py, which
+# Regression constants frozen from tests/theory_reference.py, which
 # re-evaluates the formulas with independent scalar arithmetic.
 ALPHA0_SIMPLE_REF = 4.9219696139503755e19    # n=500 r=5 f=1000 q=0.01 eta=3 zeta=0.002
 BETA_SIMPLE_REF = 5.976219512195123e-06      # r=5 f=1000 q=0.001 zeta=0.002 (q*f = 1)
@@ -167,6 +172,68 @@ class TestBetaFracCluster:
     def test_q_zero_unconstrained(self):
         inp = BoundInputs(n=100, r=2, f=10.0, q=0.0, eta=3.0, zeta=0.005, g_plus=2.0)
         assert beta_frac_cluster(inp) == math.inf
+
+
+class TestAgainstTranscription:
+    """The four calculators equal tests/theory_reference.py within 1e-12
+    relative, across the inputs their own checks admit.  The draws are
+    bounded so that every value is finite: a positive q is at least 1e-6, and
+    q = 0 is drawn only for alpha0 (the budgets are +inf there, tested above)."""
+
+    common = dict(
+        n=st.integers(2, 10**6), r=st.integers(1, 50), f=st.floats(1.0, 1e6),
+        eta=st.floats(1.0, 10.0), zeta_frac=st.floats(1e-6, 1.0),
+    )
+
+    @staticmethod
+    def assert_close(got, expected):
+        assert math.isfinite(expected) and expected > 0.0
+        assert math.isclose(got, expected, rel_tol=1e-12), (got, expected)
+
+    @given(q=st.just(0.0) | st.floats(1e-6, 100.0), **common)
+    @settings(max_examples=200, deadline=None)
+    def test_simple(self, n, r, f, q, eta, zeta_frac):
+        zeta = zeta_frac * zeta_caps(r, f)[0]
+        inp = BoundInputs(n=n, r=r, f=f, q=q, eta=eta, zeta=zeta)
+        self.assert_close(alpha0_simple(inp), ref.alpha0_simple(n, r, f, q, eta, zeta))
+        if q > 0.0:
+            self.assert_close(beta_frac_simple(inp), ref.beta_frac_simple(r, f, q, zeta))
+
+    @given(q=st.floats(0.0, 100.0), g_plus=st.floats(1.0, 1e6), chi_frac=st.floats(0.0, 1.0),
+           vartheta=st.integers(1, 50), **common)
+    @settings(max_examples=200, deadline=None)
+    def test_alpha0_cluster(self, n, r, f, q, eta, zeta_frac, g_plus, chi_frac, vartheta):
+        zeta = zeta_frac * min(zeta_caps(r, f)[1:])
+        chi_plus = chi_frac * _chi_plus_cap(g_plus, r * zeta)
+        inp = BoundInputs(n=n, r=r, f=f, q=q, eta=eta, zeta=zeta,
+                          g_plus=g_plus, chi_plus=chi_plus, vartheta=vartheta)
+        self.assert_close(alpha0_cluster(inp),
+                          ref.alpha0_cluster(n, r, f, q, eta, zeta, g_plus, vartheta))
+
+    @given(q=st.floats(1e-6, 100.0), g_plus=st.floats(1.0, 1e6), chi_frac=st.floats(0.0, 0.999),
+           r_k_frac=st.floats(0.0, 1.0), **common)
+    @settings(max_examples=200, deadline=None)
+    def test_beta_frac_cluster(self, n, r, f, q, eta, zeta_frac, g_plus, chi_frac, r_k_frac):
+        # its own check admits any zeta with r*zeta + chi_plus < 1
+        zeta = zeta_frac * 0.999 / r
+        chi_plus = chi_frac * (1.0 - r * zeta)
+        r_k = 1 + round(r_k_frac * (r - 1))
+        inp = BoundInputs(n=n, r=r, f=f, q=q, eta=eta, zeta=zeta,
+                          r_k=r_k, g_plus=g_plus, chi_plus=chi_plus)
+        self.assert_close(beta_frac_cluster(inp),
+                          ref.beta_frac_cluster(r, r_k, f, q, zeta, g_plus, chi_plus))
+
+    def test_transcription_imports_nothing_from_the_package(self):
+        tree = ast.parse(Path(ref.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "a relative import"
+                names = [node.module]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "ddnpca" for name in names), names
 
 
 class TestVerifyM2Bound:

@@ -327,8 +327,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         return simple_evd(eig1, thresh), 1
 
     def cluster():
-        result = cluster_evd(eig1, later_blocks(), cfg.g_hat, thresh, max_clusters=cfg.r)
-        return result.P_hat, result.vartheta_hat
+        P_hat, sizes = cluster_evd(eig1, later_blocks(), cfg.g_hat, thresh, max_clusters=cfg.r)
+        return P_hat, len(sizes)
 
     records = [record("evd", evd), record("cluster_evd", cluster)]
     for _ in rest:  # the stream's items of this trial that it did not use
@@ -482,17 +482,20 @@ def _check_sweep(count: int, seed: int, name: str):
         raise ParameterError(f"need {name} >= 1 and seed >= 0, got {name}={count}, seed={seed}")
 
 
-def block_sum_bound_sweep(draws: int = 1000, seed: int = 0, n: int = 500, alpha: int = 300,
-                          s: int = 5, rho: int = 2, beta_tilde: int = 1):
-    """Seeded sweep of the block-sum norm bound on generated schedules.
+# expt1's block-sum schedule (n, alpha, s, rho, beta_tilde), the one `verify` checks
+_BLOCK_SUM_SHAPE = (500, 300, 5, 2, 1)
+
+
+def block_sum_bound_sweep(draws: int, seed: int):
+    """Seeded sweep of the block-sum norm bound on generated schedules of
+    shape `_BLOCK_SUM_SHAPE`, each starting at a random coordinate.
 
     Returns (violations, worst_ratio) where worst_ratio is the largest
     lhs/rhs observed.  Every draw's n x n sum is built in one buffer, so its
     pages stay resident for the sweep instead of being faulted in per draw.
     """
     _check_sweep(draws, seed, "draws")
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got n={n}")
+    n, alpha, s, rho, beta_tilde = _BLOCK_SUM_SHAPE
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -511,19 +514,18 @@ def block_sum_bound_sweep(draws: int = 1000, seed: int = 0, n: int = 500, alpha:
     return violations, worst
 
 
-def sin_theta_sweep(instances: int = 500, seed: int = 0, max_n: int = 20):
-    """Seeded sweep of the eigenspace perturbation bound on random instances.
+def sin_theta_sweep(instances: int, seed: int):
+    """Seeded sweep of the eigenspace perturbation bound on random
+    instances of sizes 3 to 20.
 
     Returns (checked, vacuous, violations): `vacuous` counts instances whose
     gap net of the perturbation norm was not positive.
     """
     _check_sweep(instances, seed, "instances")
-    if max_n < 3:
-        raise ParameterError(f"need max_n >= 3, got max_n={max_n}")
     rng = np.random.default_rng(seed)
     checked = vacuous = violations = 0
     for _ in range(instances):
-        n = int(rng.integers(3, max_n + 1))
+        n = int(rng.integers(3, 21))
         r = int(rng.integers(1, n))
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         top = np.sort(rng.uniform(1.5, 2.5, size=r))[::-1]

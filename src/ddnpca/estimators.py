@@ -15,27 +15,9 @@ from .errors import (
     NonTerminationError,
     ParameterError,
 )
-from .linalg import ACCUMULATED_BASIS_TOL, _fix_signs, check_basis, empirical_covariance, sym_eig
+from .linalg import _fix_signs, empirical_covariance, sym_eig
 from .linalg import deflate  # called by this module's name, which perfbench traces
 from .spectrum import _check_spectrum, _cluster_width
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterEvdResult:
-    """Output of `cluster_evd`; compares and hashes by identity (an array
-    field has no single truth value)."""
-
-    P_hat: np.ndarray
-    cluster_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.cluster_sizes) != self.P_hat.shape[1]:
-            raise DimensionError("cluster sizes do not add up to the basis width")
-        check_basis(self.P_hat, tol=ACCUMULATED_BASIS_TOL, name="estimated basis")
-
-    @property
-    def vartheta_hat(self) -> int:
-        return len(self.cluster_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +148,7 @@ def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
 
 
 def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
-                max_clusters: int | None = None) -> ClusterEvdResult:
+                max_clusters: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Cluster-by-cluster subspace estimation over a stream of n x alpha blocks.
 
     `first` is `block_eig` of the first block, which fixes n and alpha;
@@ -177,6 +159,11 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
     loop ends when the first eigenvalue past the detected cluster drops
     below thresh; otherwise the next block is deflated by every direction
     found so far and eigendecomposed (`block_eig`).
+
+    Returns (P_hat, sizes): the n x sum(sizes) basis of every direction
+    found, cluster by cluster, and the tuple of the clusters' widths, whose
+    length is the estimated vartheta.  The accumulated basis is checked
+    orthonormal wherever it is used, by `deflate` at ACCUMULATED_BASIS_TOL.
 
     max_clusters is a safety cap (defaults to the ambient dimension); hitting
     it raises NonTerminationError rather than looping on degenerate data.
@@ -219,4 +206,4 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
         if Y.shape[1] != alpha:
             raise DimensionError(f"block {k} has {Y.shape[1]} columns, expected {alpha}")
         eig = block_eig(Y, G)
-    return ClusterEvdResult(P_hat=G, cluster_sizes=tuple(sizes))
+    return G, tuple(sizes)

@@ -75,24 +75,28 @@ def zeta_caps(r: int, f: float) -> tuple[float, float, float]:
 
 
 def alpha0_simple(inp: BoundInputs) -> float:
-    """Batch length sufficient for the one-shot estimator's error target."""
+    """Batch length sufficient for the one-shot estimator's error target;
+    +inf when it is past the float range."""
     rz = inp.r * inp.zeta
     _require(inp.zeta <= zeta_caps(inp.r, inp.f)[0], "r*zeta <= 0.01")
-    peak = max(inp.f, inp.q * inp.f, inp.q**2 * inp.f)
-    return C_SIMPLE * inp.eta**2 * (inp.r**2 * 11.0 * math.log(inp.n)) / rz**2 * peak**2
+    peak = max(inp.f, inp.q * inp.f, inp.q * inp.q * inp.f)
+    ratio = peak / rz
+    return C_SIMPLE * inp.eta * inp.eta * (inp.r**2 * 11.0 * math.log(inp.n)) * ratio * ratio
 
 
 def beta_frac_simple(inp: BoundInputs) -> float:
     """Largest admissible beta/alpha for the one-shot estimator.
 
-    q = 0 means the noise support imposes no constraint; +inf is returned.
+    q = 0 means the noise support imposes no constraint; +inf is returned,
+    as it is for a value past the float range.  Each square is of a ratio,
+    so no square underflows to a zero divisor.
     """
     rz = inp.r * inp.zeta
     _require(inp.zeta <= zeta_caps(inp.r, inp.f)[0], "r*zeta <= 0.01")
     if inp.q == 0.0:
         return math.inf
-    qf = inp.q * inp.f
-    return ((1.0 - rz) / 2.0) ** 2 * min(rz**2 / (4.1 * qf**2), rz / (inp.q**2 * inp.f))
+    ratio = rz / (inp.q * inp.f)
+    return ((1.0 - rz) / 2.0) ** 2 * min(ratio * ratio / 4.1, ratio / inp.q)
 
 
 def _chi_plus_cap(g_plus: float, rz: float) -> float:
@@ -100,7 +104,8 @@ def _chi_plus_cap(g_plus: float, rz: float) -> float:
 
 
 def alpha0_cluster(inp: BoundInputs) -> float:
-    """Per-cluster batch length sufficient for the cluster estimator."""
+    """Per-cluster batch length sufficient for the cluster estimator; +inf
+    when it is past the float range."""
     _require(inp.g_plus is not None and inp.g_plus >= 1, "g_plus >= 1 supplied")
     rz = inp.r * inp.zeta
     _, r2_cap, r2f_cap = zeta_caps(inp.r, inp.f)
@@ -111,27 +116,29 @@ def alpha0_cluster(inp: BoundInputs) -> float:
     peak = max(
         g,
         inp.q * g,
-        inp.q**2 * inp.f,
+        inp.q * inp.q * inp.f,
         inp.q * rz * inp.f,
-        rz**2 * inp.f,
+        rz * rz * inp.f,
         inp.q * math.sqrt(inp.f * g),
         rz * math.sqrt(inp.f * g),
     )
     logs = 11.0 * math.log(inp.n) + math.log(inp.vartheta)
-    return C_CLUSTER * inp.eta**2 * (inp.r**2 * logs) / rz**2 * peak**2
+    ratio = peak / rz
+    return C_CLUSTER * inp.eta * inp.eta * (inp.r**2 * logs) * ratio * ratio
 
 
 def beta_frac_cluster(inp: BoundInputs) -> float:
-    """Largest admissible beta/alpha for the cluster estimator."""
+    """Largest admissible beta/alpha for the cluster estimator; +inf at
+    q = 0 and past the float range, its squares formed as `beta_frac_simple`'s."""
     _require(inp.g_plus is not None and inp.g_plus >= 1, "g_plus >= 1 supplied")
     rz = inp.r * inp.zeta
     _require(inp.chi_plus < 1.0 - rz, "chi_plus < 1 - r*zeta")
     if inp.q == 0.0:
         return math.inf
     rkz = inp.r_k * inp.zeta
-    qg = inp.q * inp.g_plus
+    ratio = rkz / (inp.q * inp.g_plus)
     return ((1.0 - rz - inp.chi_plus) / 2.0) ** 2 * min(
-        rkz**2 / (4.1 * qg**2), rkz / (inp.q**2 * inp.f)
+        ratio * ratio / 4.1, rkz / (inp.q * inp.f) / inp.q
     )
 
 

@@ -30,7 +30,7 @@ from ddnpca.bench import (
 )
 from ddnpca.cli import main
 from ddnpca.errors import ConfigError, DimensionError, ParameterError, ScheduleError
-from ddnpca.estimators import BlockMoment
+from ddnpca.estimators import BlockEig, BlockMoment
 from ddnpca.linalg import one_blas_thread
 from ddnpca.spectrum import g_partition
 
@@ -328,6 +328,35 @@ class TestRunTrialEdgeCases:
         recs = run_trial(small_cfg(), 0)
         assert [r.method for r in recs] == ["evd", "cluster_evd"]
         assert all(r.se is None and r.vartheta_hat == 0 and r.rank_hat == 0 for r in recs)
+
+    @pytest.mark.parametrize("drift, fails", [(1e-7, True), (1e-10, False)])
+    def test_drifted_accumulated_basis_fails_only_the_cluster_row(self, monkeypatch,
+                                                                  drift, fails):
+        # the last cluster's vectors, from a deflated decomposition, are
+        # scaled off orthonormal; the accumulated basis is checked at
+        # ACCUMULATED_BASIS_TOL = 1e-8, so a 2e-7 Gram error fails the cluster
+        # row and a 2e-10 one does not, while the evd row never sees it
+        cfg = small_cfg(lambda_diag=(16.0, 4.0, 4.0))
+        ref_evd, ref_cluster = run_trial(cfg, 0)
+        assert ref_cluster.vartheta_hat == 2 and ref_cluster.rank_hat == 3
+        leading, drifted = BlockEig.leading, []
+
+        def drifting(self, k):
+            if self.G is None:
+                return leading(self, k)
+            drifted.append(k)
+            return leading(self, k) * (1.0 + drift)
+
+        monkeypatch.setattr(BlockEig, "leading", drifting)
+        evd, cluster = run_trial(cfg, 0)
+        assert drifted == [2]  # block 2's cluster closes the basis
+        if fails:
+            assert (cluster.se, cluster.vartheta_hat, cluster.rank_hat) == (None, 0, 0)
+        else:
+            assert (cluster.vartheta_hat, cluster.rank_hat) == (2, 3)
+            assert math.isclose(cluster.se, ref_cluster.se, rel_tol=1e-6, abs_tol=1e-9)
+        assert cluster.q_measured == ref_cluster.q_measured
+        assert dataclasses.replace(evd, time_ms=0.0) == dataclasses.replace(ref_evd, time_ms=0.0)
 
     def test_single_column_blocks(self):
         recs = run_trial(small_cfg(alpha=1), 0)
@@ -821,28 +850,6 @@ class TestClusterPlot:
             emit_cluster_plot([8.0, 4.0, 2.0], part, tmp_path / "x.txt")
 
 
-class TestSweepShapes:
-    """A sweep shape no draw can use raises before anything is drawn."""
-
-    @pytest.fixture
-    def no_draws(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a draw or buffer was made")
-
-        monkeypatch.setattr(bench.np.random, "default_rng", refuse)
-        monkeypatch.setattr(bench.np, "empty", refuse)
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_block_sum_sweep_needs_a_coordinate(self, no_draws, n):
-        with pytest.raises(ParameterError, match=f"need n >= 1, got n={n}"):
-            bench.block_sum_bound_sweep(draws=2, n=n)
-
-    @pytest.mark.parametrize("max_n", [2, 0, -1])
-    def test_sin_theta_sweep_needs_three_dimensions(self, no_draws, max_n):
-        with pytest.raises(ParameterError, match=f"need max_n >= 3, got max_n={max_n}"):
-            bench.sin_theta_sweep(instances=2, max_n=max_n)
-
-
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"
@@ -1080,6 +1087,49 @@ class TestProductReachability:
         # an exception that the product now reaches must leave the list
         found = {m.split(":")[1] for m in self.unreferenced()}
         assert set(self.ALLOWED) <= found
+
+    # `function.parameter` defaults that only callers outside `src/` set: the
+    # console script calls main() with none; perfbench and the tests pass argv
+    DEFAULTS_ALLOWED = ("main.argv",)
+
+    @staticmethod
+    def defaults_never_passed():
+        """`function.parameter` for each defaulted parameter of a function in
+        `src/ddnpca` that no call in `src/` to a function of that name
+        passes, positionally or by keyword; a `*` or `**` splat passes all."""
+        defaults, calls = [], {}
+        for path in sorted((REPO / "src" / "ddnpca").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    first = len(positional) - len(args.defaults)
+                    defaults += [(node.name, a.arg, i)
+                                 for i, a in enumerate(positional) if i >= first]
+                    defaults += [(node.name, a.arg, None)
+                                 for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                 if d is not None]
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+
+        def passes(call, param, index):
+            return (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (None, param) for k in call.keywords)
+                    or (index is not None and index < len(call.args)))
+
+        return [f"{func}.{param}" for func, param, index in defaults
+                if not any(passes(call, param, index) for call in calls.get(func, []))]
+
+    def test_every_default_is_passed_in_src(self):
+        """A default that no call in `src/` overrides is a knob only tests
+        turn, or a second home for a value the CLI already holds."""
+        never = [d for d in self.defaults_never_passed() if d not in self.DEFAULTS_ALLOWED]
+        assert never == []
+
+    def test_default_exceptions_are_still_never_passed(self):
+        # an exception that a call in `src/` now passes must leave the list
+        assert set(self.DEFAULTS_ALLOWED) <= set(self.defaults_never_passed())
 
     # every field of these is a column that `bench._to_csv` writes
     CSV_ROWS = ("TrialRecord", "MethodSummary")

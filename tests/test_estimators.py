@@ -22,7 +22,6 @@ from ddnpca.datagen import SignalModel, sparse_basis
 from ddnpca.estimators import (
     BlockEig,
     BlockMoment,
-    ClusterEvdResult,
     block_eig,
     cluster_evd,
     deflate,
@@ -298,12 +297,12 @@ class TestReduceBlock:
         half = np.sqrt(3.0 * np.array([16.0, 8.0, 1.0, 0.5]))
         blocks = [P @ ((2.0 * rng.random((r, alpha)) - 1.0) * half[:, None])
                   + 0.01 * rng.standard_normal((n, alpha)) for _ in range(r)]
-        res = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
+        P_hat, sizes = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
         reduced = [reduce_block(Y) for Y in blocks]
-        again = cluster_evd(block_eig(reduced[0]), iter(reduced[1:]), 2.0, 0.1)
-        assert res.vartheta_hat > 1
-        assert again.cluster_sizes == res.cluster_sizes
-        np.testing.assert_array_equal(again.P_hat, res.P_hat)
+        P_again, sizes_again = cluster_evd(block_eig(reduced[0]), iter(reduced[1:]), 2.0, 0.1)
+        assert len(sizes) > 1
+        assert sizes_again == sizes
+        np.testing.assert_array_equal(P_again, P_hat)
 
 
 class TestDetectCluster:
@@ -380,9 +379,9 @@ class TestClusterEvd:
     def test_noiseless_rank_one(self):
         e1 = np.eye(4)[:, :1]
         Y = e1 @ np.array([[3.0, -2.0, 1.0]])
-        res = cluster_evd(block_eig(Y), [], 2.0, 0.5)
-        assert res.vartheta_hat == 1
-        assert subspace_error(res.P_hat, e1) <= 1e-9
+        P_hat, sizes = cluster_evd(block_eig(Y), [], 2.0, 0.5)
+        assert len(sizes) == 1
+        assert subspace_error(P_hat, e1) <= 1e-9
 
     def test_exact_spectrum_matches_partition(self):
         # ratios stay clear of g_hat so eigensolver roundoff cannot flip the
@@ -391,22 +390,21 @@ class TestClusterEvd:
         V = random_orthonormal(4, 4, rng)
         lam = [8.0, 4.4, 2.0, 1.2]
         Y = exact_covariance_block(V, lam)
-        res = cluster_evd(block_eig(Y), iter([Y]), 2.4, 0.5)
-        assert res.cluster_sizes == tuple(g_partition(lam, 2.4).sizes)
-        assert res.cluster_sizes == (2, 2)
-        assert res.vartheta_hat == 2
-        assert subspace_error(res.P_hat, V) <= 1e-8
+        P_hat, sizes = cluster_evd(block_eig(Y), iter([Y]), 2.4, 0.5)
+        assert sizes == tuple(g_partition(lam, 2.4).sizes)
+        assert sizes == (2, 2)
+        assert subspace_error(P_hat, V) <= 1e-8
 
     def test_single_cluster_equals_simple_evd(self):
         rng = np.random.default_rng(3)
         V = random_orthonormal(6, 6, rng)
         lam = [10.0, 6.0, 4.0, 1e-14, 1e-14, 0.0]
         Y = exact_covariance_block(V, lam)
-        res = cluster_evd(block_eig(Y), [], 1e6, 0.5)
+        P_hat, sizes = cluster_evd(block_eig(Y), [], 1e6, 0.5)
         P_simple = simple_evd(block_eig(Y), 0.5)
-        assert res.vartheta_hat == 1
-        assert res.P_hat.shape == P_simple.shape
-        assert subspace_error(res.P_hat, P_simple) <= 1e-9
+        assert len(sizes) == 1
+        assert P_hat.shape == P_simple.shape
+        assert subspace_error(P_hat, P_simple) <= 1e-9
 
     def test_noiseless_exactness_general_position(self):
         for seed in range(5):
@@ -418,8 +416,8 @@ class TestClusterEvd:
             blocks = [
                 P @ ((2.0 * rng.random((r, 30)) - 1.0) * half[:, None]) for _ in range(r)
             ]
-            res = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
-            assert subspace_error(res.P_hat, P) <= 1e-8
+            P_hat, _ = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
+            assert subspace_error(P_hat, P) <= 1e-8
             P_one = simple_evd(block_eig(blocks[0]), 0.1)
             assert subspace_error(P_one, P) <= 1e-8
 
@@ -428,11 +426,10 @@ class TestClusterEvd:
         V = random_orthonormal(5, 5, rng)
         lam = [9.0, 3.0, 1.0, 0.3, 0.1]
         Y = exact_covariance_block(V, lam)
-        res = cluster_evd(block_eig(Y), iter([Y] * 4), 1.1, 0.05)
-        P = res.P_hat
+        P, sizes = cluster_evd(block_eig(Y), iter([Y] * 4), 1.1, 0.05)
         assert np.max(np.abs(P.T @ P - np.eye(P.shape[1]))) <= 1e-8
         start = 0
-        for size in res.cluster_sizes[:-1]:
+        for size in sizes[:-1]:
             start += size
             G_det, G_next = P[:, :start], P[:, start:]
             assert np.linalg.norm(G_det.T @ G_next, 2) <= 1e-8
@@ -449,8 +446,8 @@ class TestClusterEvd:
                 yield Y
 
         blocks = stream()
-        res = cluster_evd(block_eig(next(blocks)), blocks, 2.4, 0.5)
-        assert served["cols"] == res.vartheta_hat * Y.shape[1]
+        _, sizes = cluster_evd(block_eig(next(blocks)), blocks, 2.4, 0.5)
+        assert served["cols"] == len(sizes) * Y.shape[1]
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(6)
@@ -513,10 +510,9 @@ class TestClusterEvd:
             )
             Y, _, _ = generate_dataset(model, SddcNoiseModel(0.01, sched), 300, rng)
             blocks.append(Y)
-        res = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 3.0, 0.095)
-        assert res.vartheta_hat == 2
-        assert res.cluster_sizes == (3, 2)
-        assert subspace_error(res.P_hat, model.P) < 0.5
+        P_hat, sizes = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 3.0, 0.095)
+        assert sizes == (3, 2)
+        assert subspace_error(P_hat, model.P) < 0.5
 
 
 class TestClusterEvdProperties:
@@ -544,34 +540,30 @@ class TestClusterEvdProperties:
 
         blocks = stream()
         try:
-            res = cluster_evd(block_eig(next(blocks)), blocks, g_hat, 0.05, max_clusters=cap)
+            P_hat, sizes = cluster_evd(block_eig(next(blocks)), blocks, g_hat, 0.05,
+                                       max_clusters=cap)
         except (NonTerminationError, NoClusterError):
             assert len(drawn) <= cap
             return
-        width = res.P_hat.shape[1]
-        assert np.max(np.abs(res.P_hat.T @ res.P_hat - np.eye(width))) <= 1e-8
-        assert sum(res.cluster_sizes) == width
-        assert res.vartheta_hat == len(res.cluster_sizes) == len(drawn) <= cap
+        width = P_hat.shape[1]
+        assert np.max(np.abs(P_hat.T @ P_hat - np.eye(width))) <= 1e-8
+        assert sum(sizes) == width
+        assert len(sizes) == len(drawn) <= cap
 
 
 def _signal_model():
     return SignalModel(P=sparse_basis(4, 2), lam=np.array([2.0, 1.0]))
 
 
-def _cluster_result():
-    return ClusterEvdResult(P_hat=np.eye(4)[:, :2], cluster_sizes=(2,))
-
-
 @pytest.mark.parametrize("make", [
     _signal_model,
     lambda: block_eig(np.eye(4)[:, :3]),
     lambda: reduce_block(np.eye(2, 3)),
-    _cluster_result,
-], ids=["SignalModel", "BlockEig", "BlockMoment", "ClusterEvdResult"])
+], ids=["SignalModel", "BlockEig", "BlockMoment"])
 def test_array_dataclasses_compare_by_identity(make):
     # equal but distinct arrays: field-wise == would have no truth value
     a, b = make(), make()
-    assert type(a) in (SignalModel, BlockEig, BlockMoment, ClusterEvdResult)
+    assert type(a) in (SignalModel, BlockEig, BlockMoment)
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
 
@@ -592,11 +584,12 @@ class TestEstimatorInvariances:
         spectra whose comparisons decided them."""
         first = block_eig(blocks[0])
         P_evd = simple_evd(first, thresh)
-        res = cluster_evd(first, iter(blocks[1:]), cls.G_HAT, thresh, max_clusters=len(blocks))
-        ends = np.cumsum((0,) + res.cluster_sizes[:-1])
-        spectra = [block_eig(Y, res.P_hat[:, :end]).eigenvalues for Y, end in zip(blocks, ends)]
+        P_hat, sizes = cluster_evd(first, iter(blocks[1:]), cls.G_HAT, thresh,
+                                   max_clusters=len(blocks))
+        ends = np.cumsum((0,) + sizes[:-1])
+        spectra = [block_eig(Y, P_hat[:, :end]).eigenvalues for Y, end in zip(blocks, ends)]
         return ((P_evd.shape[1], subspace_error(P_evd, P)),
-                (res.cluster_sizes, subspace_error(res.P_hat, P)), spectra)
+                (sizes, subspace_error(P_hat, P)), spectra)
 
     @classmethod
     def near_tie(cls, lam, thresh):

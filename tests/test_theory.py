@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import theory_reference as ref
 from ddnpca import bench
+from ddnpca.cli import main
 from ddnpca.datagen import SupportSchedule, generate_support_schedule
 from ddnpca.errors import DimensionError, ParameterError, PsdError, ScheduleError, SpectralGapError
 from ddnpca.theory import (
@@ -236,6 +238,55 @@ class TestAgainstTranscription:
             assert not any(name.split(".")[0] == "ddnpca" for name in names), names
 
 
+EXTREME_CONFIGS = [Path(__file__).resolve().parent / "data" / f"bounds_extreme_{name}.cfg"
+                   for name in ("large_q", "small_q", "wide_spectrum")]
+
+
+class TestExtremeInputs:
+    """Inputs whose squares leave the float range.  Each calculator forms
+    its squares of ratios and returns a float >= 0: +inf where the value is
+    past the float range, 0.0 where it is below the smallest subnormal, never
+    NaN or an arithmetic exception."""
+
+    CALCULATORS = (alpha0_simple, beta_frac_simple, alpha0_cluster, beta_frac_cluster)
+
+    @staticmethod
+    def assert_value(got, expected):
+        assert isinstance(got, float) and got >= 0.0, got  # NaN fails the comparison
+        assert math.isclose(got, expected, rel_tol=1e-12), (got, expected)
+
+    @pytest.mark.parametrize("q, f, zeta, expected", [
+        # (q f)^2 underflows: both budgets +inf, the batch lengths finite
+        (2.2e-313, 1.0, 1e-5, (ref.alpha0_simple(500, 1, 1.0, 2.2e-313, 3.0, 1e-5), math.inf,
+                               ref.alpha0_cluster(500, 1, 1.0, 2.2e-313, 3.0, 1e-5, 1.0, 1),
+                               math.inf)),
+        # q^2 overflows
+        (1e200, 1.0, 1e-5, (math.inf, 0.0, math.inf, 0.0)),
+        # zeta^2 underflows against f = 1e300
+        (0.01, 1e300, 1e-310, (math.inf, 0.0, math.inf, 0.0)),
+    ], ids=["subnormal-q", "huge-q", "subnormal-zeta"])
+    def test_squares_out_of_range(self, q, f, zeta, expected):
+        inp = BoundInputs(n=500, r=1, f=f, q=q, eta=3.0, zeta=zeta, g_plus=1.0)
+        for calc, value in zip(self.CALCULATORS, expected):
+            self.assert_value(calc(inp), value)
+
+    def test_both_squares_underflow(self):
+        # (zeta / q)^2 = 2.25 although zeta^2 and q^2 are both 0.0 in floats
+        inp = BoundInputs(n=500, r=1, f=1.0, q=2e-200, eta=3.0, zeta=3e-200, g_plus=1.0)
+        assert inp.zeta**2 == inp.q**2 == 0.0
+        expected = (1.0 / 2.0) ** 2 * 2.25 / 4.1
+        self.assert_value(beta_frac_simple(inp), expected)
+        self.assert_value(beta_frac_cluster(inp), expected)
+
+    @pytest.mark.parametrize("path", EXTREME_CONFIGS, ids=lambda p: p.stem)
+    def test_bounds_command(self, path, capsys):
+        assert main(["bounds", str(path)]) == 0
+        out = capsys.readouterr().out
+        values = re.findall(r"(?:alpha0=|beta/alpha<=)(\S+)", out)
+        assert len(values) == 4, out
+        assert all(float(v) >= 0.0 for v in values), out
+
+
 class TestVerifyM2Bound:
     def test_disjoint_identity_blocks(self):
         supports = tuple((2 * t, 2 * t + 1) for t in range(5))
@@ -366,8 +417,8 @@ def assert_sweep_matches_per_frame(monkeypatch, draws, seed, n, alpha, s, rho, b
 
     monkeypatch.setattr(bench.np.random, "default_rng", capture_rng)
     monkeypatch.setattr(bench, "verify_m2_bound", record)
-    violations, worst = bench.block_sum_bound_sweep(
-        draws=draws, seed=seed, n=n, alpha=alpha, s=s, rho=rho, beta_tilde=beta_tilde)
+    monkeypatch.setattr(bench, "_BLOCK_SUM_SHAPE", (n, alpha, s, rho, beta_tilde))
+    violations, worst = bench.block_sum_bound_sweep(draws=draws, seed=seed)
     monkeypatch.undo()
     expected, ref_rng = per_frame_sweep(draws, seed, n, alpha, s, rho, beta_tilde)
     assert seen == expected  # floats compared exactly

@@ -252,7 +252,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
     The trial's randomness derives from base_seed + trial_index alone.  The
     first block is decomposed once: the one-shot estimator uses that
     decomposition alone, and the cluster estimator starts from it and takes
-    later blocks one at a time.  `draws` is a `_draws` stream positioned at
+    later blocks one at a time.  The trial holds at most one decomposition:
+    block 1's is handed to cluster_evd, which frees each before it takes
+    the next block.  `draws` is a `_draws` stream positioned at
     this trial, of which the trial takes its `plan` items; by default it
     makes its own.  A block that failed to draw raises where it is taken:
     block 1's leaves run_trial, a later one fails the cluster row.
@@ -284,25 +286,17 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         reduce_ms.append(ms)
         return Y
 
-    def later_blocks():
-        blocks = itertools.chain(rest, source)
-        while True:
-            t0 = time.perf_counter()
-            block = next(blocks)
-            waits.append((time.perf_counter() - t0) * 1e3)
-            yield observed(block)
-
     Y1 = observed(first)
     del first
     thresh = effective_thresh(cfg)
 
     t0 = time.perf_counter()
     try:
-        eig1, first_error = block_eig(Y1), None
+        held, first_error = [block_eig(Y1)], None  # block 1's decomposition, until handed over
     except DdnPcaError as exc:
-        eig1, first_error = None, exc
+        held, first_error = [], exc
     shared_ms = (time.perf_counter() - t0) * 1e3 + reduce_ms[0]
-    del Y1  # eig1 keeps the block where it lifts from it
+    del Y1  # the decomposition keeps the block where it lifts from it
 
     def record(method, estimate) -> TrialRecord:
         t0 = time.perf_counter()
@@ -324,10 +318,22 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         )
 
     def evd():
-        return simple_evd(eig1, thresh), 1
+        return simple_evd(held[0], thresh), 1
+
+    def cluster_blocks():
+        # popped, not read: a yielded value leaves no reference in this
+        # frame, so cluster_evd holds block 1's decomposition alone and
+        # frees it before it takes block 2
+        yield held.pop()
+        blocks = itertools.chain(rest, source)
+        while True:
+            t0 = time.perf_counter()
+            block = next(blocks)
+            waits.append((time.perf_counter() - t0) * 1e3)
+            yield observed(block)
 
     def cluster():
-        P_hat, sizes = cluster_evd(eig1, later_blocks(), cfg.g_hat, thresh, max_clusters=cfg.r)
+        P_hat, sizes = cluster_evd(cluster_blocks(), cfg.g_hat, thresh, max_clusters=cfg.r)
         return P_hat, len(sizes)
 
     records = [record("evd", evd), record("cluster_evd", cluster)]
@@ -462,12 +468,12 @@ def bounds_report(cfg: ExperimentConfig) -> str:
         f"sizes={part.sizes} (partition at g={g_implied:.6g})"
     )
     zeta2 = min(cluster_caps)
-    inp2 = BoundInputs(
-        n=cfg.n, r=cfg.r, f=f, q=q, eta=datagen.ETA, zeta=zeta2,
-        r_k=min(part.sizes), g_plus=part.g_eff, chi_plus=part.chi,
-        vartheta=part.vartheta,
-    )
-    try:
+    try:  # a cap of 0.0, past the float range, fails BoundInputs' check
+        inp2 = BoundInputs(
+            n=cfg.n, r=cfg.r, f=f, q=q, eta=datagen.ETA, zeta=zeta2,
+            r_k=min(part.sizes), g_plus=part.g_eff, chi_plus=part.chi,
+            vartheta=part.vartheta,
+        )
         lines.append(f"[cluster-EVD]  zeta={zeta2:.6g}  alpha0={alpha0_cluster(inp2):.6g}  "
                      f"beta/alpha<={beta_frac_cluster(inp2):.6g}  "
                      f"samples={part.vartheta}*alpha0")

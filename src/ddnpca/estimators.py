@@ -147,18 +147,21 @@ def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
     return r_hat, stop
 
 
-def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
+def cluster_evd(blocks, g_hat: float, thresh: float,
                 max_clusters: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Cluster-by-cluster subspace estimation over a stream of n x alpha blocks.
 
-    `first` is `block_eig` of the first block, which fixes n and alpha;
-    `blocks` yields the later blocks, arrays or their `reduce_block`, drawn
-    one at a time and only when needed.  Each iteration detects the leading
-    cluster's width in the current block's deflated spectrum and keeps that
-    many eigenvectors.  The
-    loop ends when the first eigenvalue past the detected cluster drops
-    below thresh; otherwise the next block is deflated by every direction
-    found so far and eigendecomposed (`block_eig`).
+    `blocks` yields `block_eig` of the first block, undeflated, which fixes n
+    and alpha, then the later blocks, arrays or their `reduce_block`, each
+    taken only when needed.  Each iteration detects the leading cluster's
+    width in the current block's deflated spectrum and keeps that many
+    eigenvectors.  The loop ends when the first eigenvalue past the detected
+    cluster drops below thresh; otherwise the next block is deflated by
+    every direction found so far and eigendecomposed (`block_eig`).
+
+    At most one decomposition is held: each is released once its cluster is
+    taken, before the next block is, so the first one is freed here when the
+    stream kept no other reference to it.
 
     Returns (P_hat, sizes): the n x sum(sizes) basis of every direction
     found, cluster by cluster, and the tuple of the clusters' widths, whose
@@ -170,17 +173,18 @@ def cluster_evd(first: BlockEig, blocks, g_hat: float, thresh: float,
     """
     if max_clusters is not None and max_clusters < 1:
         raise ParameterError("max_clusters must be positive")
-    if first.G is not None:
-        raise ParameterError("the first block's decomposition must not be deflated")
-    n, alpha = first.shape
-    cap = n if max_clusters is None else max_clusters
     blocks = iter(blocks)
-    eig = first
+    eig = next(blocks, None)
+    if not isinstance(eig, BlockEig) or eig.G is not None:
+        raise ParameterError("blocks must start with the first block's undeflated block_eig")
+    n, alpha = eig.shape
+    cap = n if max_clusters is None else max_clusters
     G: np.ndarray | None = None
     sizes: list[int] = []
     while True:
         r_hat, stop = detect_cluster(eig.eigenvalues, g_hat, thresh)
         Gk = eig.leading(r_hat)
+        del eig
         G = Gk if G is None else np.hstack([G, Gk])
         sizes.append(r_hat)
         if stop:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -18,7 +19,14 @@ from ddnpca.errors import (
     OrderError,
     ParameterError,
 )
-from ddnpca.datagen import SignalModel, sparse_basis
+from ddnpca.datagen import (
+    SddcNoiseModel,
+    SignalModel,
+    generate_dataset,
+    generate_support_schedule,
+    random_basis,
+    sparse_basis,
+)
 from ddnpca.estimators import (
     BlockEig,
     BlockMoment,
@@ -187,7 +195,7 @@ class TestBlockEig:
         try:
             block_eig(Y, G).leading(3)
             simple_evd(block_eig(Y), 0.01)
-            cluster_evd(block_eig(Y), [Y], 1e6, 1e-3)
+            cluster_evd([block_eig(Y), Y], 1e6, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,7 +250,12 @@ class TestBlockEig:
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((6, 3))
         with pytest.raises(ParameterError):
-            cluster_evd(block_eig(Y, random_orthonormal(6, 1, rng)), [], 2.0, 0.01)
+            cluster_evd([block_eig(Y, random_orthonormal(6, 1, rng))], 2.0, 0.01)
+
+    @pytest.mark.parametrize("stream", [[np.eye(3), np.eye(3)], []], ids=["block", "empty"])
+    def test_stream_starts_with_a_decomposition(self, stream):
+        with pytest.raises(ParameterError, match="must start with"):
+            cluster_evd(stream, 2.0, 0.01)
 
 
 class TestReduceBlock:
@@ -297,9 +310,9 @@ class TestReduceBlock:
         half = np.sqrt(3.0 * np.array([16.0, 8.0, 1.0, 0.5]))
         blocks = [P @ ((2.0 * rng.random((r, alpha)) - 1.0) * half[:, None])
                   + 0.01 * rng.standard_normal((n, alpha)) for _ in range(r)]
-        P_hat, sizes = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
+        P_hat, sizes = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 2.0, 0.1)
         reduced = [reduce_block(Y) for Y in blocks]
-        P_again, sizes_again = cluster_evd(block_eig(reduced[0]), iter(reduced[1:]), 2.0, 0.1)
+        P_again, sizes_again = cluster_evd([block_eig(reduced[0]), *reduced[1:]], 2.0, 0.1)
         assert len(sizes) > 1
         assert sizes_again == sizes
         np.testing.assert_array_equal(P_again, P_hat)
@@ -379,7 +392,7 @@ class TestClusterEvd:
     def test_noiseless_rank_one(self):
         e1 = np.eye(4)[:, :1]
         Y = e1 @ np.array([[3.0, -2.0, 1.0]])
-        P_hat, sizes = cluster_evd(block_eig(Y), [], 2.0, 0.5)
+        P_hat, sizes = cluster_evd([block_eig(Y)], 2.0, 0.5)
         assert len(sizes) == 1
         assert subspace_error(P_hat, e1) <= 1e-9
 
@@ -390,7 +403,7 @@ class TestClusterEvd:
         V = random_orthonormal(4, 4, rng)
         lam = [8.0, 4.4, 2.0, 1.2]
         Y = exact_covariance_block(V, lam)
-        P_hat, sizes = cluster_evd(block_eig(Y), iter([Y]), 2.4, 0.5)
+        P_hat, sizes = cluster_evd([block_eig(Y), Y], 2.4, 0.5)
         assert sizes == tuple(g_partition(lam, 2.4).sizes)
         assert sizes == (2, 2)
         assert subspace_error(P_hat, V) <= 1e-8
@@ -400,7 +413,7 @@ class TestClusterEvd:
         V = random_orthonormal(6, 6, rng)
         lam = [10.0, 6.0, 4.0, 1e-14, 1e-14, 0.0]
         Y = exact_covariance_block(V, lam)
-        P_hat, sizes = cluster_evd(block_eig(Y), [], 1e6, 0.5)
+        P_hat, sizes = cluster_evd([block_eig(Y)], 1e6, 0.5)
         P_simple = simple_evd(block_eig(Y), 0.5)
         assert len(sizes) == 1
         assert P_hat.shape == P_simple.shape
@@ -416,7 +429,7 @@ class TestClusterEvd:
             blocks = [
                 P @ ((2.0 * rng.random((r, 30)) - 1.0) * half[:, None]) for _ in range(r)
             ]
-            P_hat, _ = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 2.0, 0.1)
+            P_hat, _ = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 2.0, 0.1)
             assert subspace_error(P_hat, P) <= 1e-8
             P_one = simple_evd(block_eig(blocks[0]), 0.1)
             assert subspace_error(P_one, P) <= 1e-8
@@ -426,7 +439,7 @@ class TestClusterEvd:
         V = random_orthonormal(5, 5, rng)
         lam = [9.0, 3.0, 1.0, 0.3, 0.1]
         Y = exact_covariance_block(V, lam)
-        P, sizes = cluster_evd(block_eig(Y), iter([Y] * 4), 1.1, 0.05)
+        P, sizes = cluster_evd([block_eig(Y)] + [Y] * 4, 1.1, 0.05)
         assert np.max(np.abs(P.T @ P - np.eye(P.shape[1]))) <= 1e-8
         start = 0
         for size in sizes[:-1]:
@@ -446,7 +459,7 @@ class TestClusterEvd:
                 yield Y
 
         blocks = stream()
-        _, sizes = cluster_evd(block_eig(next(blocks)), blocks, 2.4, 0.5)
+        _, sizes = cluster_evd(itertools.chain([block_eig(next(blocks))], blocks), 2.4, 0.5)
         assert served["cols"] == len(sizes) * Y.shape[1]
 
     def test_insufficient_data(self):
@@ -454,7 +467,7 @@ class TestClusterEvd:
         V = random_orthonormal(4, 4, rng)
         Y = exact_covariance_block(V, [8.0, 4.4, 2.0, 1.2])
         with pytest.raises(InsufficientDataError):
-            cluster_evd(block_eig(Y), [], 2.4, 0.5)
+            cluster_evd([block_eig(Y)], 2.4, 0.5)
 
     def test_partial_block_rejected(self):
         # the first block (alpha = 2, eigenvalues 4.5, 2) does not stop; the
@@ -462,14 +475,14 @@ class TestClusterEvd:
         first = np.eye(4)[:, :2] * [3.0, 2.0]
         Y = np.eye(4)[:, :1] * 3.0
         with pytest.raises(InsufficientDataError):
-            cluster_evd(block_eig(first), [Y], 2.0, 0.5)
+            cluster_evd([block_eig(first), Y], 2.0, 0.5)
 
     def test_non_termination_cap(self):
         rng = np.random.default_rng(7)
         V = random_orthonormal(4, 4, rng)
         Y = exact_covariance_block(V, [8.0, 4.4, 2.0, 1.2])
         with pytest.raises(NonTerminationError):
-            cluster_evd(block_eig(Y), iter([Y] * 9), 1.0, 1e-18, max_clusters=2)
+            cluster_evd([block_eig(Y)] + [Y] * 9, 1.0, 1e-18, max_clusters=2)
 
     def test_parameters_rejected(self):
         eig = block_eig(np.eye(3) * 2.0)
@@ -477,16 +490,16 @@ class TestClusterEvd:
             with pytest.raises(ParameterError):
                 simple_evd(eig, thresh)
             with pytest.raises(ParameterError):
-                cluster_evd(eig, [], 2.0, thresh)
+                cluster_evd([eig], 2.0, thresh)
         with pytest.raises(ParameterError):
-            cluster_evd(eig, [], 0.5, 0.5)
+            cluster_evd([eig], 0.5, 0.5)
         with pytest.raises(ParameterError):
-            cluster_evd(eig, [], 2.0, 0.5, max_clusters=0)
+            cluster_evd([eig], 2.0, 0.5, max_clusters=0)
 
     def test_no_cluster_propagates(self):
         Y = np.eye(3)[:, :1] * 1e-6
         with pytest.raises(NoClusterError):
-            cluster_evd(block_eig(np.column_stack([Y, Y, Y])), [], 2.0, 0.9)
+            cluster_evd([block_eig(np.column_stack([Y, Y, Y]))], 2.0, 0.9)
 
     def test_reference_configuration_typical_trial(self):
         # moving-corruption data: two eigenvalue scales (100 and 0.1), batch
@@ -510,7 +523,7 @@ class TestClusterEvd:
             )
             Y, _, _ = generate_dataset(model, SddcNoiseModel(0.01, sched), 300, rng)
             blocks.append(Y)
-        P_hat, sizes = cluster_evd(block_eig(blocks[0]), iter(blocks[1:]), 3.0, 0.095)
+        P_hat, sizes = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 3.0, 0.095)
         assert sizes == (3, 2)
         assert subspace_error(P_hat, model.P) < 0.5
 
@@ -540,8 +553,8 @@ class TestClusterEvdProperties:
 
         blocks = stream()
         try:
-            P_hat, sizes = cluster_evd(block_eig(next(blocks)), blocks, g_hat, 0.05,
-                                       max_clusters=cap)
+            P_hat, sizes = cluster_evd(itertools.chain([block_eig(next(blocks))], blocks), g_hat,
+                                       0.05, max_clusters=cap)
         except (NonTerminationError, NoClusterError):
             assert len(drawn) <= cap
             return
@@ -584,7 +597,7 @@ class TestEstimatorInvariances:
         spectra whose comparisons decided them."""
         first = block_eig(blocks[0])
         P_evd = simple_evd(first, thresh)
-        P_hat, sizes = cluster_evd(first, iter(blocks[1:]), cls.G_HAT, thresh,
+        P_hat, sizes = cluster_evd([first, *blocks[1:]], cls.G_HAT, thresh,
                                    max_clusters=len(blocks))
         ends = np.cumsum((0,) + sizes[:-1])
         spectra = [block_eig(Y, P_hat[:, :end]).eigenvalues for Y, end in zip(blocks, ends)]
@@ -625,3 +638,58 @@ class TestEstimatorInvariances:
             for (shape, se), (shape2, se2) in [(evd, evd2), (cluster, cluster2)]:
                 assert shape2 == shape
                 assert abs(se2 - se) <= 1e-9
+
+
+def trial_blocks(n, alpha, seed):
+    """Three blocks of one test-size trial as the harness draws them: a
+    random basis with spectrum (16, 4, 1), sddc noise on a support that
+    moves on from block to block."""
+    rng = np.random.default_rng(seed)
+    model = SignalModel(P=random_basis(n, 3, rng), lam=np.array([16.0, 4.0, 1.0]))
+    schedules = [generate_support_schedule(n, alpha, 3, 3, 1, first_run=k * alpha)
+                 for k in range(3)]
+    return [generate_dataset(model, SddcNoiseModel(0.01, sched), alpha, rng)[0]
+            for sched in schedules]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, alpha", [(120, 80), (80, 120)], ids=["lift", "moment"])
+class TestExactRelations:
+    """Relations between estimates on trial-drawn blocks, through the path
+    a trial takes (block 1's decomposition shared, then handed to
+    cluster_evd), on the lift path (alpha < n) and the moment path
+    (n <= alpha).  Each trial finds three clusters in three blocks."""
+
+    G_HAT, THRESH = 2.5, 0.4
+
+    @classmethod
+    def estimate(cls, blocks, thresh):
+        first = block_eig(blocks[0])
+        P_evd = simple_evd(first, thresh)
+        P_hat, sizes = cluster_evd([first, *blocks[1:]], cls.G_HAT, thresh, max_clusters=3)
+        assert sizes == (1, 1, 1) and P_evd.shape[1] == 3
+        return P_evd, P_hat
+
+    def test_power_of_two_scale(self, n, alpha, seed):
+        # Y -> 2^k Y, thresh -> 4^k thresh: every product, eigensolve and
+        # lift scales exactly, and the estimates stay.  On numpy 2.4.6 with
+        # OpenBLAS 0.3.31 they were equal bit for bit at each k; 1e-12 is the
+        # form that holds on any BLAS.
+        blocks = trial_blocks(n, alpha, seed)
+        estimates = self.estimate(blocks, self.THRESH)
+        for k in (-20, -2, 2):
+            scaled = self.estimate([Y * 2.0**k for Y in blocks], self.THRESH * 4.0**k)
+            for P, P_scaled in zip(estimates, scaled):
+                np.testing.assert_allclose(P_scaled, P, rtol=0, atol=1e-12)
+
+    def test_row_permutation(self, n, alpha, seed):
+        # one permutation of the coordinates, applied to every block,
+        # permutes the rows of the estimates (measured: sin theta <= 2.6e-15
+        # here, <= 2.8e-12 on expt1 and missing_tall blocks)
+        blocks = trial_blocks(n, alpha, seed)
+        perm = np.random.default_rng(seed).permutation(n)
+        estimates = self.estimate(blocks, self.THRESH)
+        permuted = self.estimate([Y[perm] for Y in blocks], self.THRESH)
+        for P, P_permuted in zip(estimates, permuted):
+            assert subspace_error(P_permuted, P[perm]) <= 1e-10
+            assert subspace_error(P[perm], P_permuted) <= 1e-10

@@ -238,7 +238,8 @@ class TestAgainstTranscription:
             assert not any(name.split(".")[0] == "ddnpca" for name in names), names
 
 
-EXTREME_CONFIGS = [Path(__file__).resolve().parent / "data" / f"bounds_extreme_{name}.cfg"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+EXTREME_CONFIGS = [DATA_DIR / f"bounds_extreme_{name}.cfg"
                    for name in ("large_q", "small_q", "wide_spectrum")]
 
 
@@ -285,6 +286,17 @@ class TestExtremeInputs:
         values = re.findall(r"(?:alpha0=|beta/alpha<=)(\S+)", out)
         assert len(values) == 4, out
         assert all(float(v) >= 0.0 for v in values), out
+
+    def test_bounds_command_past_the_condition_range(self, capsys):
+        # f = inf makes the cluster cap on zeta 0.0, which BoundInputs
+        # rejects: the simple-EVD line is still printed, and the cluster line
+        # says why it does not apply
+        assert main(["bounds", str(DATA_DIR / "bounds_extreme_inf_condition.cfg")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("n=500 r=5 f=inf q=0.01 ")
+        assert lines[1] == "[simple-EVD]   zeta=0.002  alpha0=inf  beta/alpha<=0"
+        assert lines[3] == "[cluster-EVD]  not applicable: zeta must be positive, got 0.0"
+        assert len(lines) == 4
 
 
 class TestVerifyM2Bound:

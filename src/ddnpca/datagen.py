@@ -227,8 +227,10 @@ class SddcNoiseModel:
 
 # Frames per batch of sparse-channel corruption draws and products.
 # Fixed: it bounds the memory of one draw without changing any output or the
-# draw order.
-_FRAME_CHUNK = 64
+# draw order.  At expt1's shape (s = 5, n = 500) the draw buffer is 0.32 MB,
+# under the 300 x 300 Gram that `run`'s main thread decomposes meanwhile; at
+# 64 frames (1.28 MB) it raised the run's peak by ~1.2 MB.
+_FRAME_CHUNK = 16
 
 
 def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Generator):
@@ -248,13 +250,14 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
 
     Stream contract: the coefficients are drawn first, in one (r, alpha)
     batch.  The sparse channel then draws each frame's s x n corruption
-    matrix in frame order; frames are handled _FRAME_CHUNK at a time, and a
-    chunk of k frames fills one reused (k, s, n) buffer with
-    `standard_normal`, then multiplies it by q_gen and adds 0.0 in place:
-    bit for bit `rng.normal(0.0, q_gen)`'s 0.0 + q_gen*z, consuming the
-    generator exactly as one draw per frame would.  A zero q_gen draws
-    nothing.  Each chunk is corrupted with one stacked product; q is one
-    stacked `spectral_norm` of every frame's M_st P.
+    matrix in frame order; frames are handled _FRAME_CHUNK (16) at a time,
+    so the draw holds at most 16 s n floats.  A chunk of k frames fills one
+    reused (k, s, n) buffer with `standard_normal`, then multiplies it by
+    q_gen and adds 0.0 in place: bit for bit `rng.normal(0.0, q_gen)`'s
+    0.0 + q_gen*z, consuming the generator exactly as one draw per frame
+    would.  A zero q_gen draws nothing.  Each chunk is corrupted with one
+    stacked product; q is one stacked `spectral_norm` of every frame's
+    M_st P.
     """
     if alpha < 1:
         raise DimensionError("alpha must be positive")

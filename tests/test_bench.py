@@ -614,12 +614,12 @@ class TestBlockLifetime:
     SHAPES = {"lift": dict(n=120, alpha=80), "moment": dict(n=80, alpha=120)}
 
     # tracemalloc peak of one standalone run_trial (no worker thread, so
-    # deterministic), measured on numpy 2.4.6, Python 3.11.7: 379 kB (lift)
-    # and 304 kB (moment); the bound allows 10% over it.  With block 1's
-    # decomposition alive through the later blocks' the peaks were 563 kB and
-    # 410 kB, and with each later one kept until the next replaced it,
-    # 433 kB and 357 kB.
-    PEAK_KB = {"lift": 379, "moment": 304}
+    # deterministic), measured on numpy 2.4.6, Python 3.11.7: 243 kB (lift)
+    # and 253 kB (moment); the bound allows 10% over it.  With 64-frame sddc
+    # chunks they were 379 kB and 304 kB; with block 1's decomposition also
+    # alive through the later blocks', 563 kB and 410 kB, and with each later
+    # one kept until the next replaced it, 433 kB and 357 kB.
+    PEAK_KB = {"lift": 243, "moment": 253}
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("driver", ["run_trial", "run_experiment"])

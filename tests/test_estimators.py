@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ddnpca.estimators as estimators
+import estimator_reference as ref
 
 from ddnpca.errors import (
     BasisError,
@@ -693,3 +694,78 @@ class TestExactRelations:
         for P, P_permuted in zip(estimates, permuted):
             assert subspace_error(P_permuted, P[perm]) <= 1e-10
             assert subspace_error(P[perm], P_permuted) <= 1e-10
+
+
+@st.composite
+def planted_blocks(draw):
+    """Blocks of n in [6, 40] rows drawn from one to three planted clusters
+    of one or two directions (levels about 100, 10 and 1, each member within
+    1.5x of its cluster's top) plus N(0, 0.05^2) noise, with alpha below n
+    (the lift path) or at least n (the moment path)."""
+    n = draw(st.integers(6, 40))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    r = sum(sizes)
+    alpha = draw(st.integers(min(r + 1, n - 1), n - 1) | st.integers(n, 2 * n))
+    lam = np.array([10.0 ** (2 - c) / draw(st.floats(1.0, 1.5))
+                    for c, size in enumerate(sizes) for _ in range(size)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = random_orthonormal(n, r, rng)
+    return [P @ (np.sqrt(lam)[:, None] * rng.standard_normal((r, alpha)))
+            + 0.05 * rng.standard_normal((n, alpha)) for _ in range(len(sizes) + 2)]
+
+
+class TestAgainstTranscription:
+    """simple_evd and cluster_evd, through the path a trial takes, give the
+    ranks, cluster sizes and subspaces of the dense transcription in
+    tests/estimator_reference.py, which shares none of the package's cuts:
+    the alpha < n lift, the n <= alpha moment, the factor-form deflation,
+    the sign pass and the ratio-form cluster count."""
+
+    G_HAT, THRESH, GAP = 3.0, 0.3, 1e-6
+
+    @classmethod
+    def well_posed(cls, w, cuts):
+        """No eigenvalue or top-over-eigenvalue ratio within GAP, relative, of
+        thresh or g_hat, and an eigengap of at least GAP * w[0] at each cut,
+        so that rounding decides neither the rank nor the subspace."""
+        ratios = w[0] / w[1:][w[1:] > 0]
+        return not (np.isclose(w, cls.THRESH, rtol=cls.GAP, atol=0).any()
+                    or np.isclose(ratios, cls.G_HAT, rtol=cls.GAP, atol=0).any()
+                    or any(0 < c < w.size and w[c - 1] - w[c] < cls.GAP * w[0] for c in cuts))
+
+    @staticmethod
+    def assert_same_subspace(P, P_ref):
+        assert P.shape == P_ref.shape
+        assert ref.sin_theta(P, P_ref) <= 1e-9
+        assert ref.sin_theta(P_ref, P) <= 1e-9
+
+    @given(planted_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_planted_clusters(self, blocks):
+        try:
+            P_ref, sizes_ref, spectra = ref.cluster_evd(blocks, self.G_HAT, self.THRESH)
+        except ValueError:  # no cluster in a deflated block, or too few blocks
+            assume(False)
+        E_ref = ref.simple_evd(blocks[0], self.THRESH)
+        assume(self.well_posed(spectra[0], [E_ref.shape[1]]))
+        assume(all(self.well_posed(w, [size]) for w, size in zip(spectra, sizes_ref)))
+        first = block_eig(blocks[0])
+        P_evd = simple_evd(first, self.THRESH)
+        P_hat, sizes = cluster_evd([first, *blocks[1:]], self.G_HAT, self.THRESH)
+        assert sizes == sizes_ref
+        self.assert_same_subspace(P_evd, E_ref)
+        self.assert_same_subspace(P_hat, P_ref)
+
+    @pytest.mark.parametrize("n, alpha", [(6, 4), (4, 6)], ids=["lift", "moment"])
+    def test_ratio_equal_to_g_hat_joins(self, n, alpha):
+        # block 1's spectrum is (64, 16, 4, 0, ...) / alpha: 64 / 16 is
+        # g_hat = 4 exactly, so the first cluster has both, and block 2 holds
+        # the third direction
+        g_hat = 4.0
+        blocks = [np.zeros((n, alpha)) for _ in range(2)]
+        blocks[0][0, 0], blocks[0][1, 1], blocks[0][2, 2] = 8.0, 4.0, 2.0
+        blocks[1][2, 0] = 2.0
+        P_ref, sizes_ref, _ = ref.cluster_evd(blocks, g_hat, self.THRESH)
+        P_hat, sizes = cluster_evd([block_eig(blocks[0]), blocks[1]], g_hat, self.THRESH)
+        assert sizes == sizes_ref == (2, 1)
+        self.assert_same_subspace(P_hat, P_ref)

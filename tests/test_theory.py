@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import estimator_reference
 import theory_reference as ref
 from ddnpca import bench
 from ddnpca.cli import main
@@ -226,16 +227,17 @@ class TestAgainstTranscription:
                           ref.beta_frac_cluster(r, r_k, f, q, zeta, g_plus, chi_plus))
 
     def test_transcription_imports_nothing_from_the_package(self):
-        tree = ast.parse(Path(ref.__file__).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                assert node.level == 0, "a relative import"
-                names = [node.module]
-            else:
-                continue
-            assert not any(name.split(".")[0] == "ddnpca" for name in names), names
+        # and the estimators' transcription, tests/estimator_reference.py
+        for module in (ref, estimator_reference):
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.level == 0, "a relative import"
+                    names = [node.module]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "ddnpca" for name in names), names
 
 
 DATA_DIR = Path(__file__).resolve().parent / "data"

@@ -185,7 +185,7 @@ def _blocks(model: datagen.SignalModel, cfg: ExperimentConfig, rng: np.random.Ge
             if k not in noises:  # threads that race here build equal models
                 noises[k] = _block_noise(cfg, first_run)
             first_run += math.ceil(cfg.alpha / cfg.beta_tilde)  # this block's runs
-            Y, _, q = datagen.generate_dataset(model, noises[k], cfg.alpha, rng)
+            Y, q = datagen.generate_dataset(model, noises[k], cfg.alpha, rng)
             t0 = time.perf_counter()
             Y = reduce_block(Y)
             yield Y, q, (time.perf_counter() - t0) * 1e3
@@ -245,8 +245,7 @@ def _build_model(cfg: ExperimentConfig, rng: np.random.Generator) -> datagen.Sig
     return datagen.SignalModel(P=P, lam=np.asarray(cfg.lambda_diag))
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
-              plan: int = 1) -> list[TrialRecord]:
+def run_trial(cfg: ExperimentConfig, trial_index: int, draws, plan: int) -> list[TrialRecord]:
     """Run both estimators once; deterministic given (cfg, trial_index).
 
     The trial's randomness derives from base_seed + trial_index alone.  The
@@ -254,10 +253,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
     decomposition alone, and the cluster estimator starts from it and takes
     later blocks one at a time.  The trial holds at most one decomposition:
     block 1's is handed to cluster_evd, which frees each before it takes
-    the next block.  `draws` is a `_draws` stream positioned at
-    this trial, of which the trial takes its `plan` items; by default it
-    makes its own.  A block that failed to draw raises where it is taken:
-    block 1's leaves run_trial, a later one fails the cluster row.
+    the next block.  `draws` is a `_draws` stream positioned at this trial,
+    of which the trial takes its `plan` items.  A block that failed to draw
+    raises where it is taken: block 1's leaves run_trial, a later one fails
+    the cluster row.
     Estimator failures are recorded (se=None), not raised; when the first
     block cannot be decomposed, both rows fail.  A row's q_measured is the
     largest over the blocks taken by the time it is recorded: block 1's for
@@ -270,23 +269,19 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
     reduction (`reduce_block`) is estimator work, charged wherever it ran:
     block 1's to both rows, a later block's to the cluster row.
     """
-    if draws is None:
-        draws = _draws(cfg, [trial_index], plan)
     seed, model, source, first = next(draws)
     rest = itertools.islice(draws, plan - 1)  # the stream's blocks 2..plan of this trial
-    qs: list[float] = []         # q of each block taken
-    reduce_ms: list[float] = []  # ms spent reducing each block taken
-    waits: list[float] = []      # ms spent getting each later block
+    qs: list[float] = []  # q of each block taken
+    later_ms = 0.0        # the later blocks' reduction ms less the ms spent getting them
 
     def observed(block):
         if isinstance(block, DdnPcaError):
             raise block
         Y, q, ms = block
         qs.append(q)
-        reduce_ms.append(ms)
-        return Y
+        return Y, ms
 
-    Y1 = observed(first)
+    Y1, shared_ms = observed(first)  # block 1's reduction, charged to both rows
     del first
     thresh = effective_thresh(cfg)
 
@@ -295,7 +290,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         held, first_error = [block_eig(Y1)], None  # block 1's decomposition, until handed over
     except DdnPcaError as exc:
         held, first_error = [], exc
-    shared_ms = (time.perf_counter() - t0) * 1e3 + reduce_ms[0]
+    shared_ms += (time.perf_counter() - t0) * 1e3
     del Y1  # the decomposition keeps the block where it lifts from it
 
     def record(method, estimate) -> TrialRecord:
@@ -310,7 +305,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
             t1 = time.perf_counter()
             se, vartheta_hat, rank_hat = None, 0, 0
         # evd, recorded first, takes no later block
-        elapsed = shared_ms + (t1 - t0) * 1e3 - sum(waits) + sum(reduce_ms[1:])
+        elapsed = shared_ms + (t1 - t0) * 1e3 + later_ms
         return TrialRecord(
             trial=trial_index, method=method, se=se, time_ms=elapsed,
             vartheta_hat=vartheta_hat, rank_hat=rank_hat,
@@ -321,6 +316,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         return simple_evd(held[0], thresh), 1
 
     def cluster_blocks():
+        nonlocal later_ms
         # popped, not read: a yielded value leaves no reference in this
         # frame, so cluster_evd holds block 1's decomposition alone and
         # frees it before it takes block 2
@@ -329,8 +325,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws=None,
         while True:
             t0 = time.perf_counter()
             block = next(blocks)
-            waits.append((time.perf_counter() - t0) * 1e3)
-            yield observed(block)
+            later_ms -= (time.perf_counter() - t0) * 1e3
+            Y, ms = observed(block)
+            later_ms += ms
+            yield Y
 
     def cluster():
         P_hat, sizes = cluster_evd(cluster_blocks(), cfg.g_hat, thresh, max_clusters=cfg.r)
@@ -455,7 +453,7 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     part = g_partition(model.lam, g_implied)
     f, q = part.f, cfg.q_gen
     if isinstance(noise, datagen.MissingNoiseModel):
-        _, _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
+        _, q = datagen.generate_dataset(model, noise, cfg.alpha, rng)
     lines = [f"n={cfg.n} r={cfg.r} f={f:g} q={q:g} eta={datagen.ETA:g} (uniform coefficients)"]
 
     zeta1, *cluster_caps = zeta_caps(cfg.r, f)

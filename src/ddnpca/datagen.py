@@ -236,17 +236,16 @@ _FRAME_CHUNK = 16
 def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Generator):
     """Draw alpha columns of signal and observations under a noise channel.
 
-    Returns (Y, A, q_measured).  A is the r x alpha coefficient matrix; the
-    signal is `model.P @ A`, which gives the same bits as the product Y
-    starts from.  The schedule is `noise.schedule`.  q_measured is the
-    largest operator norm of the per-frame correlation map restricted to the
-    signal subspace: ||I_T' P|| on the missing channel, ||M_st P|| on the
-    sparse one.
+    Returns (Y, q_measured).  The schedule is `noise.schedule`.  q_measured
+    is the largest operator norm of the per-frame correlation map restricted
+    to the signal subspace: ||I_T' P|| on the missing channel, ||M_st P|| on
+    the sparse one.
 
-    Y is built as `model.P @ A` and corrupted in place; no second n x alpha
-    array is made.  The missing channel zeroes every frame's support with
-    one assignment and measures q once per run of identical supports, as
-    frames of one run have the same matrix I_T' P.
+    Y is built as the signal `model.P @ A`, A the r x alpha coefficient
+    matrix, and corrupted in place; no second n x alpha array is made.  The
+    missing channel zeroes every frame's support with one assignment and
+    measures q once per run of identical supports, as frames of one run have
+    the same matrix I_T' P.
 
     Stream contract: the coefficients are drawn first, in one (r, alpha)
     batch.  The sparse channel then draws each frame's s x n corruption
@@ -269,18 +268,17 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
     if not isinstance(noise, (MissingNoiseModel, SddcNoiseModel)):
         raise ParameterError(f"unknown noise model {type(noise).__name__}")
 
-    A = _coefficient_matrix(model, alpha, rng)
-    Y = model.P @ A
+    Y = model.P @ _coefficient_matrix(model, alpha, rng)
     S = schedule.supports[:alpha]
 
     if isinstance(noise, MissingNoiseModel):
         Y[S, np.arange(alpha)[:, None]] = 0.0
-        return Y, A, spectral_norm(model.P[S[_run_starts(S)]])
+        return Y, spectral_norm(model.P[S[_run_starts(S)]])
 
     if noise.q_gen == 0:
         # +0.0, the product with a zero matrix, turns a -0.0 there into +0.0
         Y[S, np.arange(alpha)[:, None]] += 0.0
-        return Y, A, 0.0
+        return Y, 0.0
 
     draw = np.empty((min(_FRAME_CHUNK, alpha), schedule.s, model.n))  # reused by every chunk
     MP = np.empty((alpha, schedule.s, model.r))  # each frame's M_st P, for q
@@ -297,7 +295,7 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
         Y[S[first:last], np.arange(first, last)[:, None]] += \
             (Mst @ Y.T[first:last, :, None])[:, :, 0]
         np.matmul(Mst, model.P, out=MP[first:last])
-    return Y, A, spectral_norm(MP)
+    return Y, spectral_norm(MP)
 
 
 def sparse_basis(n: int, r: int) -> np.ndarray:

@@ -148,7 +148,7 @@ def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
 
 
 def cluster_evd(blocks, g_hat: float, thresh: float,
-                max_clusters: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+                max_clusters: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Cluster-by-cluster subspace estimation over a stream of n x alpha blocks.
 
     `blocks` yields `block_eig` of the first block, undeflated, which fixes n
@@ -168,17 +168,16 @@ def cluster_evd(blocks, g_hat: float, thresh: float,
     length is the estimated vartheta.  The accumulated basis is checked
     orthonormal wherever it is used, by `deflate` at ACCUMULATED_BASIS_TOL.
 
-    max_clusters is a safety cap (defaults to the ambient dimension); hitting
-    it raises NonTerminationError rather than looping on degenerate data.
+    max_clusters is a safety cap on the blocks taken; hitting it raises
+    NonTerminationError rather than looping on degenerate data.
     """
-    if max_clusters is not None and max_clusters < 1:
+    if max_clusters < 1:
         raise ParameterError("max_clusters must be positive")
     blocks = iter(blocks)
     eig = next(blocks, None)
     if not isinstance(eig, BlockEig) or eig.G is not None:
         raise ParameterError("blocks must start with the first block's undeflated block_eig")
     n, alpha = eig.shape
-    cap = n if max_clusters is None else max_clusters
     G: np.ndarray | None = None
     sizes: list[int] = []
     while True:
@@ -190,9 +189,9 @@ def cluster_evd(blocks, g_hat: float, thresh: float,
         if stop:
             break
         k = len(sizes) + 1  # the next cluster, and the block it is found in
-        if k > cap:
+        if k > max_clusters:
             raise NonTerminationError(
-                f"stop flag not reached within max_clusters={cap} blocks"
+                f"stop flag not reached within max_clusters={max_clusters} blocks"
             )
         try:
             Y = next(blocks)

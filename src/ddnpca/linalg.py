@@ -29,8 +29,8 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def check_basis(Q, tol: float = BASIS_TOL, name: str = "basis") -> np.ndarray:
-    """Validate that Q has orthonormal columns within `tol` (max-norm)."""
+def check_basis(Q, name: str, tol: float = BASIS_TOL) -> np.ndarray:
+    """Validate that Q, called `name` in errors, has orthonormal columns within `tol` (max-norm)."""
     Q = _as_matrix(Q, name)
     n, k = Q.shape
     if k > n:
@@ -104,7 +104,7 @@ def spectral_norm(M) -> float:
     return float(np.linalg.svd(A, compute_uv=False).max())
 
 
-def deflate(Y, G=None) -> np.ndarray:
+def deflate(Y, G) -> np.ndarray:
     """Psi Y, Psi = I - GG' removing the directions G, in factor form Y - G (G'Y).
     G is checked orthonormal at ACCUMULATED_BASIS_TOL, with Y's row count; an
     empty G (None or zero columns) gives Y's values unchanged."""

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from csv_rows import read_rows
+from standalone import standalone_trial
 from ddnpca import bench, datagen, estimators, linalg
 from ddnpca.bench import (
     ExperimentConfig,
@@ -27,7 +28,6 @@ from ddnpca.bench import (
     parse_config,
     records_to_csv,
     run_experiment,
-    run_trial,
     summarize,
 )
 from ddnpca.cli import main
@@ -260,7 +260,7 @@ class TestEffectiveThresh:
 
 class TestRunTrial:
     def test_two_records(self):
-        recs = run_trial(small_cfg(), 0)
+        recs = standalone_trial(small_cfg(), 0)
         assert [r.method for r in recs] == ["evd", "cluster_evd"]
         for r in recs:
             assert r.se is not None and r.se < 0.5
@@ -268,8 +268,8 @@ class TestRunTrial:
             assert r.time_ms >= 0.0
 
     def test_deterministic(self):
-        a = run_trial(small_cfg(), 1)
-        b = run_trial(small_cfg(), 1)
+        a = standalone_trial(small_cfg(), 1)
+        b = standalone_trial(small_cfg(), 1)
         for x, y in zip(a, b):
             assert dataclasses.replace(x, time_ms=0.0) == dataclasses.replace(y, time_ms=0.0)
 
@@ -281,35 +281,74 @@ class TestRunTrial:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(datagen, "generate_dataset", slow)
-        recs = run_trial(small_cfg(), 0)
+        recs = standalone_trial(small_cfg(), 0)
         assert recs[1].vartheta_hat > 1  # the cluster row drew later blocks
         assert all(0.0 <= r.time_ms < 100.0 for r in recs)
 
+    # seconds a fake clock advances in each call; multiples of 1/1024 s, so
+    # every millisecond figure and sum of them is exact in binary
+    TICKS = {"draw": 1.0, "reduce": 1 / 16, "first_eig": 1 / 8, "evd": 1 / 32,
+             "later_eig": 1 / 4, "metric": 1 / 2}
+
+    @pytest.mark.parametrize("shape", [dict(), dict(n=80, alpha=60)], ids=["moment", "lift"])
+    @pytest.mark.parametrize("plan", [1, 2])
+    def test_time_is_exact_under_a_fake_clock(self, monkeypatch, shape, plan):
+        # each row is charged its own estimator work and block reductions:
+        # evd the shared first block's reduction and decomposition, then
+        # simple_evd; the cluster row those two, then each later block's
+        # reduction and decomposition, never the drawing or the metric
+        clock = [1000.0]
+        calls = dict.fromkeys(self.TICKS, 0)
+
+        def ticking(name, real):
+            def call(*args, **kwargs):
+                clock[0] += self.TICKS[name]
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for module, attr, name in [(datagen, "generate_dataset", "draw"),
+                                   (bench, "reduce_block", "reduce"),
+                                   (bench, "block_eig", "first_eig"),
+                                   (bench, "simple_evd", "evd"),
+                                   (estimators, "block_eig", "later_eig"),
+                                   (bench, "subspace_error", "metric")]:
+            monkeypatch.setattr(module, attr, ticking(name, getattr(module, attr)))
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        evd, cluster = standalone_trial(small_cfg(**shape), 0, plan)
+        later = cluster.vartheta_hat - 1
+        assert later >= 1 and calls["later_eig"] == later
+        assert calls["draw"] == calls["reduce"] == 1 + later
+        ms = {name: tick * 1e3 for name, tick in self.TICKS.items()}
+        shared = ms["first_eig"] + ms["reduce"]
+        assert evd.time_ms == shared + ms["evd"]
+        assert cluster.time_ms == shared + later * (ms["later_eig"] + ms["reduce"])
+
     def test_noiseless_exact(self):
-        recs = run_trial(small_cfg(q_gen=0.0), 0)
+        recs = standalone_trial(small_cfg(q_gen=0.0), 0)
         assert all(r.se <= 1e-8 for r in recs)
 
     def test_distinct_trials_distinct_seeds(self):
-        a = run_trial(small_cfg(), 0)
-        b = run_trial(small_cfg(), 1)
+        a = standalone_trial(small_cfg(), 0)
+        b = standalone_trial(small_cfg(), 1)
         assert a[0].seed != b[0].seed
         assert a[0].se != b[0].se
 
     def test_reference_config_single_trial(self):
         cfg = parse_config(CONFIG_DIR / "expt1.cfg")
-        recs = run_trial(cfg, 0)
+        recs = standalone_trial(cfg, 0)
         assert [r.method for r in recs] == ["evd", "cluster_evd"]
         assert all(r.se is not None and r.se < 0.5 for r in recs)
         assert recs[1].vartheta_hat == 2
 
     def test_missing_channel_with_dense_basis(self):
         cfg = small_cfg(noise_kind="missing", basis_kind="random", q_gen=0.0)
-        recs = run_trial(cfg, 0)
+        recs = standalone_trial(cfg, 0)
         assert all(r.se is not None and r.se < 0.9 for r in recs)
         # for the zeroed-entry channel, measured q is the worst row-block
         # norm of the basis: strictly inside (0, 1) for a dense basis
         assert all(0.0 < r.q_measured < 1.0 for r in recs)
-        again = run_trial(cfg, 0)
+        again = standalone_trial(cfg, 0)
         assert [r.se for r in again] == [r.se for r in recs]
 
 
@@ -318,7 +357,7 @@ class TestRunTrialEdgeCases:
     def test_rank_equals_dimension(self, noise_kind):
         cfg = small_cfg(n=4, r=4, alpha=60, lambda_diag=(16.0, 4.0, 1.0, 1.0),
                         noise_kind=noise_kind, s=1, rho=1, beta_tilde=15)
-        for rec in run_trial(cfg, 0):
+        for rec in standalone_trial(cfg, 0):
             assert rec.se is not None and rec.se <= 1e-8
             assert rec.rank_hat == 4
 
@@ -327,7 +366,7 @@ class TestRunTrialEdgeCases:
             raise DimensionError("cannot decompose")
 
         monkeypatch.setattr(bench, "block_eig", fail)
-        recs = run_trial(small_cfg(), 0)
+        recs = standalone_trial(small_cfg(), 0)
         assert [r.method for r in recs] == ["evd", "cluster_evd"]
         assert all(r.se is None and r.vartheta_hat == 0 and r.rank_hat == 0 for r in recs)
 
@@ -339,7 +378,7 @@ class TestRunTrialEdgeCases:
         # ACCUMULATED_BASIS_TOL = 1e-8, so a 2e-7 Gram error fails the cluster
         # row and a 2e-10 one does not, while the evd row never sees it
         cfg = small_cfg(lambda_diag=(16.0, 4.0, 4.0))
-        ref_evd, ref_cluster = run_trial(cfg, 0)
+        ref_evd, ref_cluster = standalone_trial(cfg, 0)
         assert ref_cluster.vartheta_hat == 2 and ref_cluster.rank_hat == 3
         leading, drifted = BlockEig.leading, []
 
@@ -350,7 +389,7 @@ class TestRunTrialEdgeCases:
             return leading(self, k) * (1.0 + drift)
 
         monkeypatch.setattr(BlockEig, "leading", drifting)
-        evd, cluster = run_trial(cfg, 0)
+        evd, cluster = standalone_trial(cfg, 0)
         assert drifted == [2]  # block 2's cluster closes the basis
         if fails:
             assert (cluster.se, cluster.vartheta_hat, cluster.rank_hat) == (None, 0, 0)
@@ -361,7 +400,7 @@ class TestRunTrialEdgeCases:
         assert dataclasses.replace(evd, time_ms=0.0) == dataclasses.replace(ref_evd, time_ms=0.0)
 
     def test_single_column_blocks(self):
-        recs = run_trial(small_cfg(alpha=1), 0)
+        recs = standalone_trial(small_cfg(alpha=1), 0)
         assert [r.method for r in recs] == ["evd", "cluster_evd"]
         assert all(r.se is not None and 0.0 <= r.se <= 1.0 for r in recs)
 
@@ -384,7 +423,7 @@ class TestRunExperiment:
     def test_serial_matches_per_trial_calls(self, tmp_path):
         cfg = small_cfg(trials=3)
         records, _ = run_experiment(cfg, tmp_path)
-        manual = [rec for i in range(3) for rec in run_trial(cfg, i)]
+        manual = [rec for i in range(3) for rec in standalone_trial(cfg, i)]
         assert [dataclasses.replace(r, time_ms=0.0) for r in records] == \
                [dataclasses.replace(r, time_ms=0.0) for r in manual]
 
@@ -429,7 +468,7 @@ def serial_one_thread(cfg):
     """The records of a serial `run_trial` loop at one BLAS thread, which
     `run_experiment` must equal outside time_ms."""
     with one_blas_thread():
-        return [rec for i in range(cfg.trials) for rec in run_trial(cfg, i)]
+        return [rec for i in range(cfg.trials) for rec in standalone_trial(cfg, i)]
 
 
 def blas_counts():
@@ -639,7 +678,7 @@ class TestBlockLifetime:
         monkeypatch.setattr(bench, "block_eig", tracked)  # block 1, in run_trial
         monkeypatch.setattr(estimators, "block_eig", tracked)  # the later blocks
         if driver == "run_trial":
-            records = [rec for i in range(cfg.trials) for rec in run_trial(cfg, i)]
+            records = [rec for i in range(cfg.trials) for rec in standalone_trial(cfg, i)]
         else:
             records, _ = run_experiment(cfg, tmp_path)
         later = sum(r.vartheta_hat - 1 for r in records if r.method == "cluster_evd")
@@ -649,10 +688,10 @@ class TestBlockLifetime:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_standalone_trial_peak(self, shape):
         cfg = small_cfg(**self.SHAPES[shape])
-        run_trial(cfg, 0)  # imports and first-call set-up happen outside the count
+        standalone_trial(cfg, 0)  # imports and first-call set-up happen outside the count
         tracemalloc.start()
         try:
-            records = run_trial(cfg, 0)
+            records = standalone_trial(cfg, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -847,12 +886,14 @@ def assert_serial_process_writes_the_same_rows(path, trials, tmp_path):
     runs one thread, outside time_ms."""
     cfg = dataclasses.replace(parse_config(path), trials=trials)
     script = ("import dataclasses, sys\n"
-              "from ddnpca.bench import parse_config, records_to_csv, run_trial\n"
+              "from ddnpca.bench import parse_config, records_to_csv\n"
+              "from standalone import standalone_trial\n"
               "trials = int(sys.argv[2])\n"
               "cfg = dataclasses.replace(parse_config(sys.argv[1]), trials=trials)\n"
               "sys.stdout.write(records_to_csv([rec for i in range(trials)"
-              " for rec in run_trial(cfg, i)]))\n")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(REPO / "src")}
+              " for rec in standalone_trial(cfg, i)]))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])}
     serial = subprocess.run([sys.executable, "-c", script, str(path), str(trials)], env=env,
                             capture_output=True, text=True, timeout=120, check=True).stdout
     run_experiment(cfg, tmp_path)
@@ -1153,13 +1194,18 @@ class TestProductReachability:
     DEFAULTS_ALLOWED = ("main.argv",)
 
     @staticmethod
-    def defaults_never_passed():
-        """`function.parameter` for each defaulted parameter of a function in
-        `src/ddnpca` that no call in `src/` to a function of that name
-        passes, positionally or by keyword; a `*` or `**` splat passes all."""
-        defaults, calls = [], {}
+    def defaults_in_src():
+        """Each defaulted parameter of a function in `src/ddnpca` as
+        (function, parameter, position or None), and for each, whether some
+        call in `src/` to a function of that name passes it (positionally or
+        by keyword) and whether some leaves it out.  A `*` or `**` splat
+        does both, and so does naming the function as a value, not a callee
+        (`_READERS` holds `_is_number`), since it is then called elsewhere."""
+        defaults, calls, named = [], {}, set()
         for path in sorted((REPO / "src" / "ddnpca").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            for node in ast.walk(tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     args = node.args
                     positional = args.posonlyargs + args.args
@@ -1172,14 +1218,33 @@ class TestProductReachability:
                 elif isinstance(node, ast.Call):
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     calls.setdefault(name, []).append(node)
+                elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                    named.add(getattr(node, "id", getattr(node, "attr", None)))
 
         def passes(call, param, index):
-            return (any(isinstance(a, ast.Starred) for a in call.args)
-                    or any(k.arg in (None, param) for k in call.keywords)
+            return (any(k.arg == param for k in call.keywords)
                     or (index is not None and index < len(call.args)))
 
-        return [f"{func}.{param}" for func, param, index in defaults
-                if not any(passes(call, param, index) for call in calls.get(func, []))]
+        def splat(call):
+            return (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords))
+
+        found = []
+        for func, param, index in defaults:
+            unknown = func in named or any(splat(call) for call in calls.get(func, []))
+            found.append((f"{func}.{param}",
+                          unknown or any(passes(c, param, index) for c in calls.get(func, [])),
+                          unknown or any(not passes(c, param, index)
+                                         for c in calls.get(func, []))))
+        return found
+
+    @classmethod
+    def defaults_never_passed(cls):
+        return [name for name, passed, _ in cls.defaults_in_src() if not passed]
+
+    @classmethod
+    def defaults_never_left_out(cls):
+        return [name for name, _, left_out in cls.defaults_in_src() if not left_out]
 
     def test_every_default_is_passed_in_src(self):
         """A default that no call in `src/` overrides is a knob only tests
@@ -1190,6 +1255,11 @@ class TestProductReachability:
     def test_default_exceptions_are_still_never_passed(self):
         # an exception that a call in `src/` now passes must leave the list
         assert set(self.DEFAULTS_ALLOWED) <= set(self.defaults_never_passed())
+
+    def test_every_default_is_left_out_in_src(self):
+        """A default that every call in `src/` overrides serves only callers
+        outside it: a value only tests rely on.  No exception is allowed."""
+        assert self.defaults_never_left_out() == []
 
     # every field of these is a column that `bench._to_csv` writes
     CSV_ROWS = ("TrialRecord", "MethodSummary")

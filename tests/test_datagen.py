@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -27,6 +28,15 @@ from ddnpca.linalg import subspace_error
 
 def expt1_model(n=500, r=5):
     return SignalModel(P=sparse_basis(n, r), lam=np.array([100.0, 100.0, 100.0, 0.1, 0.1]))
+
+
+def draw_with_signal(model, noise, alpha, rng):
+    """`generate_dataset`'s (Y, q), and between them the signal P A that Y
+    started from, A re-derived as the generator's first draw (from a copy
+    of the generator taken before the call)."""
+    L = model.P @ _coefficient_matrix(model, alpha, copy.deepcopy(rng))
+    Y, q = generate_dataset(model, noise, alpha, rng)
+    return Y, L, q
 
 
 class TestSignalModel:
@@ -170,8 +180,7 @@ class TestGenerateDataset:
         model = expt1_model()
         sched = generate_support_schedule(500, 50, 5, 2, 1)
         rng = np.random.default_rng(2)
-        Y, A, q = generate_dataset(model, MissingNoiseModel(sched), 50, rng)
-        L = model.P @ A
+        Y, L, q = draw_with_signal(model, MissingNoiseModel(sched), 50, rng)
         for t in range(50):
             T = list(sched.supports[t])
             off = np.setdiff1d(np.arange(500), T)
@@ -182,8 +191,7 @@ class TestGenerateDataset:
         model = expt1_model()
         sched = generate_support_schedule(500, 100, 5, 2, 1)
         rng = np.random.default_rng(3)
-        Y, A, q = generate_dataset(model, SddcNoiseModel(0.01, sched), 100, rng)
-        L = model.P @ A
+        Y, L, q = draw_with_signal(model, SddcNoiseModel(0.01, sched), 100, rng)
         W = Y - L
         ratios = np.linalg.norm(W, axis=0) / np.linalg.norm(L, axis=0)
         assert np.all(ratios <= q + 1e-9)
@@ -194,8 +202,7 @@ class TestGenerateDataset:
         model = SignalModel(P=sparse_basis(30, 3), lam=np.array([4.0, 2.0, 1.0]))
         sched = generate_support_schedule(30, 8, 3, 3, 1)
         rng = np.random.default_rng(4)
-        Y, A, _ = generate_dataset(model, SddcNoiseModel(0.2, sched), 8, rng)
-        L = model.P @ A
+        Y, L, _ = draw_with_signal(model, SddcNoiseModel(0.2, sched), 8, rng)
         for t in range(8):
             off = np.setdiff1d(np.arange(30), sched.supports[t])
             np.testing.assert_array_equal(Y[off, t], L[off, t])
@@ -206,7 +213,7 @@ class TestGenerateDataset:
         out = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            out.append(generate_dataset(model, SddcNoiseModel(0.01, sched), 40, rng))
+            out.append(draw_with_signal(model, SddcNoiseModel(0.01, sched), 40, rng))
         np.testing.assert_array_equal(out[0][0], out[1][0])
         np.testing.assert_array_equal(out[0][1], out[1][1])
         assert out[0][2] == out[1][2]
@@ -354,9 +361,9 @@ def per_frame_dataset(model, noise, alpha, rng):
 
 def assert_matches_per_frame(model, noise, alpha, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    Y, A, q = generate_dataset(model, noise, alpha, rng)
+    Y, L, q = draw_with_signal(model, noise, alpha, rng)
     Y_ref, L_ref, q_ref = per_frame_dataset(model, noise, alpha, ref_rng)
-    assert (model.P @ A).tobytes() == L_ref.tobytes()
+    assert L.tobytes() == L_ref.tobytes()
     assert Y.tobytes() == Y_ref.tobytes()
     assert q == q_ref
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -196,7 +196,7 @@ class TestBlockEig:
         try:
             block_eig(Y, G).leading(3)
             simple_evd(block_eig(Y), 0.01)
-            cluster_evd([block_eig(Y), Y], 1e6, 1e-3)
+            cluster_evd([block_eig(Y), Y], 1e6, 1e-3, max_clusters=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,12 +251,12 @@ class TestBlockEig:
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((6, 3))
         with pytest.raises(ParameterError):
-            cluster_evd([block_eig(Y, random_orthonormal(6, 1, rng))], 2.0, 0.01)
+            cluster_evd([block_eig(Y, random_orthonormal(6, 1, rng))], 2.0, 0.01, max_clusters=6)
 
     @pytest.mark.parametrize("stream", [[np.eye(3), np.eye(3)], []], ids=["block", "empty"])
     def test_stream_starts_with_a_decomposition(self, stream):
         with pytest.raises(ParameterError, match="must start with"):
-            cluster_evd(stream, 2.0, 0.01)
+            cluster_evd(stream, 2.0, 0.01, max_clusters=3)
 
 
 class TestReduceBlock:
@@ -311,9 +311,10 @@ class TestReduceBlock:
         half = np.sqrt(3.0 * np.array([16.0, 8.0, 1.0, 0.5]))
         blocks = [P @ ((2.0 * rng.random((r, alpha)) - 1.0) * half[:, None])
                   + 0.01 * rng.standard_normal((n, alpha)) for _ in range(r)]
-        P_hat, sizes = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 2.0, 0.1)
+        P_hat, sizes = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 2.0, 0.1, max_clusters=n)
         reduced = [reduce_block(Y) for Y in blocks]
-        P_again, sizes_again = cluster_evd([block_eig(reduced[0]), *reduced[1:]], 2.0, 0.1)
+        P_again, sizes_again = cluster_evd([block_eig(reduced[0]), *reduced[1:]], 2.0, 0.1,
+                                             max_clusters=n)
         assert len(sizes) > 1
         assert sizes_again == sizes
         np.testing.assert_array_equal(P_again, P_hat)
@@ -393,7 +394,7 @@ class TestClusterEvd:
     def test_noiseless_rank_one(self):
         e1 = np.eye(4)[:, :1]
         Y = e1 @ np.array([[3.0, -2.0, 1.0]])
-        P_hat, sizes = cluster_evd([block_eig(Y)], 2.0, 0.5)
+        P_hat, sizes = cluster_evd([block_eig(Y)], 2.0, 0.5, max_clusters=4)
         assert len(sizes) == 1
         assert subspace_error(P_hat, e1) <= 1e-9
 
@@ -404,7 +405,7 @@ class TestClusterEvd:
         V = random_orthonormal(4, 4, rng)
         lam = [8.0, 4.4, 2.0, 1.2]
         Y = exact_covariance_block(V, lam)
-        P_hat, sizes = cluster_evd([block_eig(Y), Y], 2.4, 0.5)
+        P_hat, sizes = cluster_evd([block_eig(Y), Y], 2.4, 0.5, max_clusters=4)
         assert sizes == tuple(g_partition(lam, 2.4).sizes)
         assert sizes == (2, 2)
         assert subspace_error(P_hat, V) <= 1e-8
@@ -414,7 +415,7 @@ class TestClusterEvd:
         V = random_orthonormal(6, 6, rng)
         lam = [10.0, 6.0, 4.0, 1e-14, 1e-14, 0.0]
         Y = exact_covariance_block(V, lam)
-        P_hat, sizes = cluster_evd([block_eig(Y)], 1e6, 0.5)
+        P_hat, sizes = cluster_evd([block_eig(Y)], 1e6, 0.5, max_clusters=6)
         P_simple = simple_evd(block_eig(Y), 0.5)
         assert len(sizes) == 1
         assert P_hat.shape == P_simple.shape
@@ -430,7 +431,7 @@ class TestClusterEvd:
             blocks = [
                 P @ ((2.0 * rng.random((r, 30)) - 1.0) * half[:, None]) for _ in range(r)
             ]
-            P_hat, _ = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 2.0, 0.1)
+            P_hat, _ = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 2.0, 0.1, max_clusters=n)
             assert subspace_error(P_hat, P) <= 1e-8
             P_one = simple_evd(block_eig(blocks[0]), 0.1)
             assert subspace_error(P_one, P) <= 1e-8
@@ -440,7 +441,7 @@ class TestClusterEvd:
         V = random_orthonormal(5, 5, rng)
         lam = [9.0, 3.0, 1.0, 0.3, 0.1]
         Y = exact_covariance_block(V, lam)
-        P, sizes = cluster_evd([block_eig(Y)] + [Y] * 4, 1.1, 0.05)
+        P, sizes = cluster_evd([block_eig(Y)] + [Y] * 4, 1.1, 0.05, max_clusters=5)
         assert np.max(np.abs(P.T @ P - np.eye(P.shape[1]))) <= 1e-8
         start = 0
         for size in sizes[:-1]:
@@ -460,7 +461,8 @@ class TestClusterEvd:
                 yield Y
 
         blocks = stream()
-        _, sizes = cluster_evd(itertools.chain([block_eig(next(blocks))], blocks), 2.4, 0.5)
+        _, sizes = cluster_evd(itertools.chain([block_eig(next(blocks))], blocks), 2.4, 0.5,
+                               max_clusters=4)
         assert served["cols"] == len(sizes) * Y.shape[1]
 
     def test_insufficient_data(self):
@@ -468,7 +470,7 @@ class TestClusterEvd:
         V = random_orthonormal(4, 4, rng)
         Y = exact_covariance_block(V, [8.0, 4.4, 2.0, 1.2])
         with pytest.raises(InsufficientDataError):
-            cluster_evd([block_eig(Y)], 2.4, 0.5)
+            cluster_evd([block_eig(Y)], 2.4, 0.5, max_clusters=4)
 
     def test_partial_block_rejected(self):
         # the first block (alpha = 2, eigenvalues 4.5, 2) does not stop; the
@@ -476,7 +478,7 @@ class TestClusterEvd:
         first = np.eye(4)[:, :2] * [3.0, 2.0]
         Y = np.eye(4)[:, :1] * 3.0
         with pytest.raises(InsufficientDataError):
-            cluster_evd([block_eig(first), Y], 2.0, 0.5)
+            cluster_evd([block_eig(first), Y], 2.0, 0.5, max_clusters=4)
 
     def test_non_termination_cap(self):
         rng = np.random.default_rng(7)
@@ -491,16 +493,16 @@ class TestClusterEvd:
             with pytest.raises(ParameterError):
                 simple_evd(eig, thresh)
             with pytest.raises(ParameterError):
-                cluster_evd([eig], 2.0, thresh)
+                cluster_evd([eig], 2.0, thresh, max_clusters=3)
         with pytest.raises(ParameterError):
-            cluster_evd([eig], 0.5, 0.5)
+            cluster_evd([eig], 0.5, 0.5, max_clusters=3)
         with pytest.raises(ParameterError):
             cluster_evd([eig], 2.0, 0.5, max_clusters=0)
 
     def test_no_cluster_propagates(self):
         Y = np.eye(3)[:, :1] * 1e-6
         with pytest.raises(NoClusterError):
-            cluster_evd([block_eig(np.column_stack([Y, Y, Y]))], 2.0, 0.9)
+            cluster_evd([block_eig(np.column_stack([Y, Y, Y]))], 2.0, 0.9, max_clusters=3)
 
     def test_reference_configuration_typical_trial(self):
         # moving-corruption data: two eigenvalue scales (100 and 0.1), batch
@@ -522,9 +524,10 @@ class TestClusterEvd:
             sched = generate_support_schedule(
                 500, 300, 5, 2, 1, start=(900 * k) % 500
             )
-            Y, _, _ = generate_dataset(model, SddcNoiseModel(0.01, sched), 300, rng)
+            Y, _ = generate_dataset(model, SddcNoiseModel(0.01, sched), 300, rng)
             blocks.append(Y)
-        P_hat, sizes = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 3.0, 0.095)
+        P_hat, sizes = cluster_evd([block_eig(blocks[0]), *blocks[1:]], 3.0, 0.095,
+                                    max_clusters=500)
         assert sizes == (3, 2)
         assert subspace_error(P_hat, model.P) < 0.5
 
@@ -751,7 +754,8 @@ class TestAgainstTranscription:
         assume(all(self.well_posed(w, [size]) for w, size in zip(spectra, sizes_ref)))
         first = block_eig(blocks[0])
         P_evd = simple_evd(first, self.THRESH)
-        P_hat, sizes = cluster_evd([first, *blocks[1:]], self.G_HAT, self.THRESH)
+        P_hat, sizes = cluster_evd([first, *blocks[1:]], self.G_HAT, self.THRESH,
+                                   max_clusters=blocks[0].shape[0])
         assert sizes == sizes_ref
         self.assert_same_subspace(P_evd, E_ref)
         self.assert_same_subspace(P_hat, P_ref)
@@ -766,6 +770,7 @@ class TestAgainstTranscription:
         blocks[0][0, 0], blocks[0][1, 1], blocks[0][2, 2] = 8.0, 4.0, 2.0
         blocks[1][2, 0] = 2.0
         P_ref, sizes_ref, _ = ref.cluster_evd(blocks, g_hat, self.THRESH)
-        P_hat, sizes = cluster_evd([block_eig(blocks[0]), blocks[1]], g_hat, self.THRESH)
+        P_hat, sizes = cluster_evd([block_eig(blocks[0]), blocks[1]], g_hat, self.THRESH,
+                                   max_clusters=n)
         assert sizes == sizes_ref == (2, 1)
         self.assert_same_subspace(P_hat, P_ref)

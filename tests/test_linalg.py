@@ -175,7 +175,7 @@ class TestTopEigenvectors:
 
     def test_degenerate_spectrum_orthonormal_only(self):
         B = self.top(np.eye(3), 2)
-        check_basis(B)
+        check_basis(B, "basis")
         # residual of the invariant-subspace equation for the identity
         assert spectral_norm(np.eye(3) @ B - B) <= 1e-12
 
@@ -443,12 +443,12 @@ class TestSinThetaBound:
 class TestCheckBasis:
     def test_accepts_orthonormal(self):
         rng = np.random.default_rng(31)
-        check_basis(random_orthonormal(8, 3, rng))
+        check_basis(random_orthonormal(8, 3, rng), "basis")
 
     def test_rejects_skewed(self):
         with pytest.raises(BasisError):
-            check_basis(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            check_basis(np.array([[1.0, 0.5], [0.0, 1.0]]), "basis")
 
     def test_rejects_wide(self):
         with pytest.raises(BasisError):
-            check_basis(np.ones((2, 3)))
+            check_basis(np.ones((2, 3)), "basis")

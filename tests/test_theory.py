@@ -301,12 +301,17 @@ class TestExtremeInputs:
         assert len(lines) == 4
 
 
+def m2_bound(schedule, A):
+    """`verify_m2_bound` with a fresh (n, n) buffer for the sum."""
+    return verify_m2_bound(schedule, A, np.empty((schedule.n, schedule.n)))
+
+
 class TestVerifyM2Bound:
     def test_disjoint_identity_blocks(self):
         supports = tuple((2 * t, 2 * t + 1) for t in range(5))
         sched = SupportSchedule(n=10, supports=supports, rho=1, beta_tilde=1)
         A_list = [np.eye(2)] * 5
-        lhs, rhs, holds = verify_m2_bound(sched, A_list)
+        lhs, rhs, holds = m2_bound(sched, A_list)
         assert lhs == pytest.approx(1.0, rel=1e-12)
         assert rhs == sched.beta
         assert holds
@@ -324,7 +329,7 @@ class TestVerifyM2Bound:
         # passes some i rho = 2 times, each time for rho runs of beta_tilde
         # frames: rho^2 * beta_tilde in all
         sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start)
-        lhs, rhs, holds = verify_m2_bound(sched, np.broadcast_to(np.eye(s), (alpha, s, s)))
+        lhs, rhs, holds = m2_bound(sched, np.broadcast_to(np.eye(s), (alpha, s, s)))
         assert lhs == rhs == bound
         assert holds
 
@@ -336,7 +341,7 @@ class TestVerifyM2Bound:
             for T in sched.supports:
                 B = rng.standard_normal((len(T), len(T)))
                 A_list.append(B.T @ B)
-            lhs, rhs, holds = verify_m2_bound(sched, A_list)
+            lhs, rhs, holds = m2_bound(sched, A_list)
             assert holds, (lhs, rhs)
 
     def test_static_support_would_violate_but_is_rejected(self):
@@ -355,17 +360,17 @@ class TestVerifyM2Bound:
         sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), rho=1, beta_tilde=1)
         bad = [np.eye(2), np.diag([1.0, -0.5])]
         with pytest.raises(PsdError):
-            verify_m2_bound(sched, bad)
+            m2_bound(sched, bad)
 
     def test_dimension_error(self):
         sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), rho=1, beta_tilde=1)
         with pytest.raises(DimensionError):
-            verify_m2_bound(sched, [np.eye(2), np.eye(3)])
+            m2_bound(sched, [np.eye(2), np.eye(3)])
         with pytest.raises(DimensionError):
-            verify_m2_bound(sched, [np.eye(2)])
+            m2_bound(sched, [np.eye(2)])
 
         with pytest.raises(DimensionError):
-            verify_m2_bound(sched, np.zeros((2, 3, 3)))
+            m2_bound(sched, np.zeros((2, 3, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -373,7 +378,7 @@ class TestVerifyM2Bound:
         A = np.stack([np.eye(2)] * 4)
         A[2, 0, 1] = bad
         with pytest.raises(DimensionError, match="non-finite"):
-            verify_m2_bound(sched, A)
+            m2_bound(sched, A)
 
 
 def per_frame_m2_bound(schedule, A_list):
@@ -477,7 +482,7 @@ class TestM2BoundAgainstPerFrame:
         frames = [int(rng.integers(40))] if one_frame else range(40)
         for t in frames:
             A[t] += 1e-10 * max(1.0, np.abs(A[t]).max()) * rng.uniform(-1.0, 1.0, (s, s))
-        assert verify_m2_bound(sched, A) == per_frame_m2_bound(sched, list(A))
+        assert m2_bound(sched, A) == per_frame_m2_bound(sched, list(A))
 
     def test_first_bad_frame_named(self):
         sched = generate_support_schedule(40, 12, 3, 1, 1)
@@ -492,7 +497,7 @@ class TestM2BoundAgainstPerFrame:
             with pytest.raises(PsdError) as ref:
                 per_frame_m2_bound(sched, list(stack))
             with pytest.raises(PsdError, match=f"^frame {frame}: ") as got:
-                verify_m2_bound(sched, stack)
+                m2_bound(sched, stack)
             assert str(got.value) == str(ref.value)
 
 
@@ -519,7 +524,7 @@ class TestM2BoundOut:
     @pytest.mark.parametrize("buffer", ["clean", "nan", "leftover"])
     def test_result_equals_fresh_sum(self, buffer, seed, asymmetric):
         sched, A = self.draw(seed, 60, asymmetric)
-        expected = verify_m2_bound(sched, A)
+        expected = m2_bound(sched, A)
         if buffer == "clean":
             out = np.zeros((60, 60))
         elif buffer == "nan":

@@ -1196,12 +1196,12 @@ class TestProductReachability:
     @staticmethod
     def defaults_in_src():
         """Each defaulted parameter of a function in `src/ddnpca` as
-        (function, parameter, position or None), and for each, whether some
-        call in `src/` to a function of that name passes it (positionally or
-        by keyword) and whether some leaves it out.  A `*` or `**` splat
-        does both, and so does naming the function as a value, not a callee
-        (`_READERS` holds `_is_number`), since it is then called elsewhere."""
-        defaults, calls, named = [], {}, set()
+        `function.parameter`, with whether some call in `src/` to a function
+        of that name passes it (positionally or by keyword) and whether some
+        leaves it out.  A `*` or `**` splat does both.  A function of `src/`
+        read as a value, not called (`_READERS` holds `_is_number`), is
+        called elsewhere with its defaults, so it leaves every one out."""
+        defaults, calls, read = [], {}, set()
         for path in sorted((REPO / "src" / "ddnpca").glob("*.py")):
             tree = ast.parse(path.read_text())
             callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
@@ -1218,8 +1218,10 @@ class TestProductReachability:
                 elif isinstance(node, ast.Call):
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     calls.setdefault(name, []).append(node)
-                elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
-                    named.add(getattr(node, "id", getattr(node, "attr", None)))
+                elif (isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load) and id(node) not in callees):
+                    read.add(getattr(node, "id", getattr(node, "attr", None)))
+        read &= {func for func, _, _ in defaults}  # functions of src/, not other names
 
         def passes(call, param, index):
             return (any(k.arg == param for k in call.keywords)
@@ -1229,14 +1231,11 @@ class TestProductReachability:
             return (any(isinstance(a, ast.Starred) for a in call.args)
                     or any(k.arg is None for k in call.keywords))
 
-        found = []
-        for func, param, index in defaults:
-            unknown = func in named or any(splat(call) for call in calls.get(func, []))
-            found.append((f"{func}.{param}",
-                          unknown or any(passes(c, param, index) for c in calls.get(func, [])),
-                          unknown or any(not passes(c, param, index)
-                                         for c in calls.get(func, []))))
-        return found
+        return [(f"{func}.{param}",
+                 any(splat(c) or passes(c, param, index) for c in calls.get(func, [])),
+                 func in read
+                 or any(splat(c) or not passes(c, param, index) for c in calls.get(func, [])))
+                for func, param, index in defaults]
 
     @classmethod
     def defaults_never_passed(cls):

@@ -267,7 +267,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, draws, plan: int) -> list
     rows, and the time spent getting each later block, drawing it or
     waiting for it, is outside the cluster row's clock.  A block's
     reduction (`reduce_block`) is estimator work, charged wherever it ran:
-    block 1's to both rows, a later block's to the cluster row.
+    block 1's to both rows, a later block's to the cluster row.  So the evd
+    row is block 1's reduction and decomposition plus `simple_evd`, and the
+    cluster_evd row is those two plus cluster_evd's own work (the later
+    blocks' eigensolves and deflations) and each later block's reduction.
+
+    This is `run_experiment`'s per-trial step, not an entry point.  A trial
+    run alone takes a stream of that trial only, `_draws(cfg, [i], plan)`;
+    any plan >= 1 gives the same records outside time_ms.
     """
     seed, model, source, first = next(draws)
     rest = itertools.islice(draws, plan - 1)  # the stream's blocks 2..plan of this trial
@@ -390,6 +397,15 @@ def run_experiment(cfg: ExperimentConfig,
     those of a serial `run_trial` loop at one BLAS thread, outside time_ms.
     Each trial's first `plan` blocks come from the stream: as many as
     cluster_evd takes on the planted spectrum.
+
+    So with OpenBLAS both files are byte-reproducible outside time_ms for a
+    fixed config and seed on any number of cores: they equal those of a
+    serial loop run with OPENBLAS_NUM_THREADS=1, whatever the machine's
+    BLAS thread count, and the count is restored when the run ends.  Where
+    no OpenBLAS can be found to pin (another BLAS, or no /proc/self/maps),
+    no thread starts.  A trial's blocks are still drawn from its own
+    generator, seeded base_seed + i, in the same order; a trial that needs
+    more blocks than the plan draws them itself, on the main thread.
     """
     out = Path(out_dir)
     try:
@@ -443,8 +459,9 @@ def bounds_report(cfg: ExperimentConfig) -> str:
     g_hat = 1.01*g + 0.0001, and f is that partition's condition number.
     q is `q_gen` on the sddc channel: the scale of M_st's entries, not a
     bound on ||M_st P||, whose median per frame is 3.62*q_gen at s = r = 5
-    (README, deviation 3).  On the missing channel it is ||I_T' P|| as
-    trial 0's first block measures it, since that channel has no q knob.
+    (README, "Deviations from the paper", item 3).  On the missing channel
+    it is ||I_T' P|| as trial 0's first block measures it, since that
+    channel has no q knob.
     """
     rng = np.random.default_rng(cfg.base_seed)
     model = _build_model(cfg, rng)

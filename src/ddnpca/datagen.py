@@ -242,21 +242,29 @@ def generate_dataset(model: SignalModel, noise, alpha: int, rng: np.random.Gener
     the sparse one.
 
     Y is built as the signal `model.P @ A`, A the r x alpha coefficient
-    matrix, and corrupted in place; no second n x alpha array is made.  The
-    missing channel zeroes every frame's support with one assignment and
-    measures q once per run of identical supports, as frames of one run have
-    the same matrix I_T' P.
+    matrix, and corrupted in place; no second n x alpha array is made.  A is
+    not returned: it is the generator's first draw, so a caller that needs
+    it draws it again from a copy of the generator taken before the call
+    (`_coefficient_matrix(model, alpha, rng)`), and `model.P @ A` then has
+    the signal's bits.  The missing channel zeroes every frame's support
+    with one assignment and measures q once per run of identical supports,
+    as frames of one run have the same matrix I_T' P.
 
     Stream contract: the coefficients are drawn first, in one (r, alpha)
     batch.  The sparse channel then draws each frame's s x n corruption
     matrix in frame order; frames are handled _FRAME_CHUNK (16) at a time,
     so the draw holds at most 16 s n floats.  A chunk of k frames fills one
     reused (k, s, n) buffer with `standard_normal`, then multiplies it by
-    q_gen and adds 0.0 in place: bit for bit `rng.normal(0.0, q_gen)`'s
-    0.0 + q_gen*z, consuming the generator exactly as one draw per frame
-    would.  A zero q_gen draws nothing.  Each chunk is corrupted with one
-    stacked product; q is one stacked `spectral_norm` of every frame's
-    M_st P.
+    q_gen and adds 0.0 in place: `rng.normal(0.0, q_gen)` draws each value
+    as 0.0 + q_gen*z from the same z, and adding 0.0 changes only a -0.0
+    (to +0.0), so the buffer holds that draw's bits and the generator is
+    consumed exactly as one draw per frame would.  Each chunk is corrupted
+    with one stacked product, which reads the chunk's columns before
+    writing them; q is one stacked `spectral_norm` of every frame's M_st P.
+    A zero q_gen draws nothing: it adds +0.0 on the supports, turning a
+    -0.0 there into +0.0 as the product with a zero matrix would, and q is
+    0.  Y, q_measured and the generator's final state are bit for bit those
+    of a frame-by-frame loop.
     """
     if alpha < 1:
         raise DimensionError("alpha must be positive")

@@ -57,10 +57,13 @@ class BlockEig:
     When alpha < n the smaller alpha x alpha matrix Z'Z/alpha, Z = Psi Y, is
     factorized instead: it has the same nonzero eigenvalues, and an
     eigenvector u of ZZ'/alpha is recovered from one v of Z'Z/alpha as
-    u = Z v / sqrt(alpha w).  `leading` lifts only the columns a caller asks
-    for.  Z itself is not kept; Z v is formed as Psi (Y v), so Y is kept in
-    this case, and only in this one.  Compares and hashes by identity (an
-    array field has no single truth value).
+    u = Z v / sqrt(alpha w).  The spectrum is padded with exact zeros to
+    length n.  `leading` lifts only the columns a caller asks for, and
+    sign-fixes only those, after the lift.  Z itself is not kept; Z v is
+    formed as Psi (Y v), so Y is kept in this case, and only in this one:
+    with n <= alpha the n x n eigenvectors are kept and not the block.
+    Compares and hashes by identity (an array field has no single truth
+    value).
     """
 
     eigenvalues: np.ndarray    # shape (n,), non-increasing; exact zeros past rank alpha
@@ -89,7 +92,12 @@ def block_eig(Y, G=None) -> BlockEig:
     """Descending spectrum and leading eigenvectors of Psi (YY'/alpha) Psi,
     Psi = I - GG', factorizing the smaller of the n x n and alpha x alpha
     Gram matrices.  Y is an n x alpha array or its `reduce_block`; an array
-    is reduced on entry.  No n x n matrix is formed when alpha < n."""
+    is reduced on entry.  No n x n matrix is formed when alpha < n.
+
+    With n <= alpha the block is read only through its second moment
+    C = YY'/alpha, and Psi C Psi is formed by two deflations in factor form,
+    `deflate(deflate(C, G).T, G)` = Psi (Psi C)', which is Psi C Psi since C
+    is symmetric; no n x n projector is formed."""
     Y = reduce_block(Y)
     n, alpha = Y.shape
     if alpha < 1:
@@ -161,15 +169,19 @@ def cluster_evd(blocks, g_hat: float, thresh: float,
 
     At most one decomposition is held: each is released once its cluster is
     taken, before the next block is, so the first one is freed here when the
-    stream kept no other reference to it.
+    stream kept no other reference to it.  A caller that wants it freed
+    yields it as the stream's first item and keeps no reference of its own;
+    passing it as an argument would not do, as Python 3.10 keeps a call's
+    arguments on the caller's stack until the call returns.
 
     Returns (P_hat, sizes): the n x sum(sizes) basis of every direction
     found, cluster by cluster, and the tuple of the clusters' widths, whose
     length is the estimated vartheta.  The accumulated basis is checked
     orthonormal wherever it is used, by `deflate` at ACCUMULATED_BASIS_TOL.
 
-    max_clusters is a safety cap on the blocks taken; hitting it raises
-    NonTerminationError rather than looping on degenerate data.
+    max_clusters is a required, positive safety cap on the blocks taken;
+    hitting it raises NonTerminationError rather than looping on degenerate
+    data.
     """
     if max_clusters < 1:
         raise ParameterError("max_clusters must be positive")

@@ -55,13 +55,18 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, V) of a symmetric matrix, as `np.linalg.eigh`
-    returns it, vectors and signs, but with w descending (a reversed view);
-    the sign convention, `_fix_signs`, is applied where vectors leave the package.
+    returns it, vectors and signs, but with w descending: column i of V is
+    `eigh`'s eigenvector of w[i], with `eigh`'s sign, and both come back as
+    reversed views (V is not C-ordered).  The sign convention, `_fix_signs`,
+    is applied once, where vectors leave the package: `BlockEig.leading`,
+    which both estimators' outputs come from, and `datagen.random_basis`.
 
     The input must be square and symmetric within 1e-10 relative tolerance.
-    One equal to M' bit for bit (a `Y @ Y.T` Gram) is factorized as it is,
-    since (M + M')/2 is M; another is symmetrized first, so the reconstruction
-    residual is controlled by the solver, not the input's asymmetry.
+    One equal to M' bit for bit, as the Grams `Y @ Y.T` and `Z.T @ Z` that
+    the estimators decompose are, is factorized as it is; another is
+    replaced by (M + M')/2 first, so the reconstruction residual is
+    controlled by the solver, not the input's asymmetry.  Since (x + x)/2
+    is x, both paths give the bits that always symmetrizing gave.
     """
     M = _as_matrix(M)
     n, m = M.shape

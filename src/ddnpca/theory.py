@@ -149,9 +149,10 @@ def verify_m2_bound(schedule: SupportSchedule, A, out) -> tuple[float, float, bo
     shape matrices works too), symmetric within 1e-9.  Assembles
     sum_t I_T A_t I_T' explicitly, symmetrized unless every A_t is exactly
     symmetric, and compares its spectral norm (lhs) against
-    rho^2 * beta_tilde * max_t ||A_t|| (rhs).  The sum is built in `out`, a
-    writeable float64 (n, n) array whose contents are overwritten; the
-    result does not depend on them.
+    rho^2 * beta_tilde * max_t ||A_t|| (rhs).  The sum is built in `out`,
+    which is required and must be a writeable float64 (n, n) array, or
+    DimensionError is raised; its contents are overwritten, and the result
+    does not depend on them.
     """
     try:
         A = np.asarray(A, dtype=float)

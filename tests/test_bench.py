@@ -111,6 +111,18 @@ class TestParseConfig:
         keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
         assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
+    def test_readme_names_exist(self):
+        # each `module.name` README cites is an attribute of that ddnpca
+        # module, and each tests/, configs/ or perfbench/ path or glob exists
+        readme = (REPO / "README.md").read_text()
+        modules = "|".join(p.stem for p in (REPO / "src" / "ddnpca").glob("[!_]*.py"))
+        names = re.findall(rf"(?<![\w./-])({modules})\.(\w+)", readme)
+        paths = re.findall(r"(?<![\w./-])((?:tests|configs|perfbench)/[\w./*-]*\w)", readme)
+        assert names and paths
+        assert [f"{module}.{name}" for module, name in names
+                if not hasattr(importlib.import_module(f"ddnpca.{module}"), name)] == []
+        assert [path for path in paths if not list(REPO.glob(path))] == []
+
 
 def expt1_with(tmp_path, **values) -> Path:
     """A copy of configs/expt1.cfg with the given keys' values replaced."""
@@ -500,19 +512,41 @@ class TestDrawHandOff:
         (dict(q_gen=5.0, g_hat=1.05), 3, False),  # runs to the r-block cap, which is the plan
         (dict(q_gen=5.0, g_hat=4.0), 2, True),    # runs to the cap, one block past the plan
         (dict(g_hat=4.0), 2, True),               # finds 3 clusters where 2 are planted
+        # `hold_s` is not a config key: each draw holds its result that long,
+        # so trial 1's past-plan draw on the main thread overlaps the worker's
+        # draw of trial 2's block 1, on the moment shape and on the lift shape
+        pytest.param(dict(g_hat=4.0, hold_s=0.02), 2, True, id="held-moment"),
+        pytest.param(dict(g_hat=4.0, n=80, hold_s=0.02), 2, True, id="held-lift"),
     ])
     def test_trials_past_the_plan_draw_their_own_blocks(self, tmp_path, monkeypatch,
                                                         overrides, plan, past_plan):
+        overrides = dict(overrides)
+        hold_s = overrides.pop("hold_s", 0.0)
         cfg = small_cfg(trials=3, **overrides)
         assert g_partition(cfg.lambda_diag, cfg.g_hat).vartheta == plan
+        if hold_s and not linalg._openblas_threads():
+            pytest.skip("no OpenBLAS to pin, so run draws inline on one thread")
         serial = serial_one_thread(cfg)
-        calls = []
+        spans = []  # (thread, start, end) of each draw
         real = datagen.generate_dataset
-        monkeypatch.setattr(datagen, "generate_dataset",
-                            lambda *a: calls.append(a) or real(*a))
+
+        def draw(*args):
+            start = time.perf_counter()
+            out = real(*args)
+            if hold_s:
+                time.sleep(hold_s)
+            spans.append((threading.get_ident(), start, time.perf_counter()))
+            return out
+
+        monkeypatch.setattr(datagen, "generate_dataset", draw)
         records, _ = run_experiment(cfg, tmp_path)
         assert untimed(records) == untimed(serial)
-        assert (len(calls) > cfg.trials * plan) == past_plan
+        assert (len(spans) > cfg.trials * plan) == past_plan
+        if hold_s:
+            main = threading.get_ident()
+            own = [(s, e) for t, s, e in spans if t == main]
+            worker = [(s, e) for t, s, e in spans if t != main]
+            assert any(s1 < e2 and s2 < e1 for s1, e1 in own for s2, e2 in worker)
 
     @pytest.mark.parametrize("overrides, past_plan", [
         (dict(), False),

@@ -391,21 +391,18 @@ def run_experiment(cfg: ExperimentConfig,
     is made first, so an unusable one fails before any trial runs.
 
     OpenBLAS runs one thread for the length of the run, its pool parked
-    before the worker starts, and `_one_ahead`'s worker thread draws and
-    reduces the blocks one ahead while the estimators run on the block in
-    hand; with no OpenBLAS to pin, the draws are inline.  Either way the records equal
-    those of a serial `run_trial` loop at one BLAS thread, outside time_ms.
-    Each trial's first `plan` blocks come from the stream: as many as
-    cluster_evd takes on the planted spectrum.
-
-    So with OpenBLAS both files are byte-reproducible outside time_ms for a
-    fixed config and seed on any number of cores: they equal those of a
-    serial loop run with OPENBLAS_NUM_THREADS=1, whatever the machine's
-    BLAS thread count, and the count is restored when the run ends.  Where
-    no OpenBLAS can be found to pin (another BLAS, or no /proc/self/maps),
-    no thread starts.  A trial's blocks are still drawn from its own
-    generator, seeded base_seed + i, in the same order; a trial that needs
-    more blocks than the plan draws them itself, on the main thread.
+    before the worker starts, and its thread count is restored after.
+    `_one_ahead`'s worker thread draws and reduces each trial's first `plan`
+    blocks one ahead (as many as cluster_evd takes on the planted spectrum)
+    while the estimators run on the block in hand; a trial that needs more
+    draws them itself, on the main thread.  Every trial still draws from its
+    own generator, seeded base_seed + i, in the same order, so both files
+    are byte-reproducible outside the time columns for a fixed config and
+    seed, on any number of cores: the records equal those of a serial
+    `run_trial` loop at one BLAS thread (OPENBLAS_NUM_THREADS=1), whatever
+    the machine's BLAS thread count.  Where no OpenBLAS can be found to pin
+    (another BLAS, or no /proc/self/maps), no thread starts and the draws
+    are inline.
     """
     out = Path(out_dir)
     try:

@@ -51,9 +51,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # both counts before either sweep: a bad second one must not wait for the first
-    bench._check_sweep(args.draws, args.seed, "draws")
-    bench._check_sweep(args.instances, args.seed, "instances")
+    # both counts before either sweep: a bad second one must not wait for the first,
+    # and a sweep of no draws would report [ok] having checked nothing
+    for name in ("draws", "instances"):
+        if getattr(args, name) < 1 or args.seed < 0:
+            raise ParameterError(f"need {name} >= 1 and seed >= 0, "
+                                 f"got {name}={getattr(args, name)}, seed={args.seed}")
     failed = False
 
     violations, worst = bench.block_sum_bound_sweep(draws=args.draws, seed=args.seed)

@@ -11,13 +11,12 @@ from .errors import (
     DimensionError,
     EmptySubspaceError,
     InsufficientDataError,
-    NoClusterError,
     NonTerminationError,
     ParameterError,
 )
 from .linalg import _fix_signs, empirical_covariance, sym_eig
 from .linalg import deflate  # called by this module's name, which perfbench traces
-from .spectrum import _check_spectrum, _cluster_width
+from .spectrum import detect_cluster  # called by this module's name, which perfbench traces
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +101,6 @@ def block_eig(Y, G=None) -> BlockEig:
     n, alpha = Y.shape
     if alpha < 1:
         raise DimensionError("Y must have at least one column")
-    if G is not None and np.ndim(G) == 2 and np.shape(G)[1] == 0:
-        G = None
     if isinstance(Y, BlockMoment):
         # Psi C Psi as Psi (Psi C)', C being symmetric; C itself when G is None
         w, V = sym_eig(deflate(deflate(Y.C, G).T, G))
@@ -133,26 +130,6 @@ def simple_evd(eig: BlockEig, thresh: float) -> np.ndarray:
             f"no eigenvalue above thresh={thresh} (largest is {eig.eigenvalues[0]:.3e})"
         )
     return eig.leading(count)
-
-
-def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
-    """Width of the leading eigenvalue cluster of a non-increasing spectrum.
-
-    r_hat is the width of the ratio-g_hat cluster that starts at the leading
-    eigenvalue, by the rule `spectrum.g_partition` uses.  The stop flag is
-    set when the first excluded eigenvalue falls below thresh (a missing one
-    counts as below).
-    """
-    lam = _check_spectrum(eigs, g_hat)
-    if not thresh > 0:
-        raise ParameterError(f"thresh must be positive, got {thresh}")
-    if lam[0] < thresh:
-        raise NoClusterError(
-            f"leading eigenvalue {lam[0]:.6e} is below thresh={thresh}"
-        )
-    r_hat = _cluster_width(lam, 0, g_hat)
-    stop = r_hat == lam.size or lam[r_hat] < thresh
-    return r_hat, stop
 
 
 def cluster_evd(blocks, g_hat: float, thresh: float,

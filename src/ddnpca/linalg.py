@@ -14,7 +14,7 @@ import ctypes
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, SpectralGapError, SymmetryError
+from .errors import BasisError, DimensionError, SymmetryError
 
 BASIS_TOL = 1e-10
 ACCUMULATED_BASIS_TOL = 1e-8  # slack for bases accumulated block by block
@@ -143,22 +143,6 @@ def empirical_covariance(Y) -> np.ndarray:
     if alpha < 1:
         raise DimensionError("Y must have at least one column")
     return (Y @ Y.T) / alpha
-
-
-def sin_theta_bound(lambda_min_a: float, lambda_max_aperp: float, h_norm: float) -> float:
-    """Perturbation bound ||H|| / (lmin(A) - lmax(A_perp) - ||H||).
-
-    Raises SpectralGapError when the denominator is not strictly positive,
-    i.e. the bound is inapplicable.
-    """
-    if h_norm < 0:
-        raise DimensionError("h_norm must be non-negative")
-    denom = lambda_min_a - lambda_max_aperp - h_norm
-    if denom <= 0.0:
-        raise SpectralGapError(
-            f"gap {lambda_min_a} - {lambda_max_aperp} - {h_norm} = {denom} is not positive"
-        )
-    return h_norm / denom
 
 
 @contextlib.contextmanager

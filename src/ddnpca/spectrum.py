@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderError, ParameterError
+from .errors import NoClusterError, OrderError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -27,11 +26,6 @@ class ClusterPartition:
     @property
     def vartheta(self) -> int:
         return len(self.sizes)
-
-    @property
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        ends = itertools.accumulate(self.sizes)
-        return tuple(tuple(range(end - size, end)) for size, end in zip(self.sizes, ends))
 
 
 def _check_spectrum(eigenvalues, g: float) -> np.ndarray:
@@ -85,3 +79,23 @@ def g_partition(eigenvalues, g: float) -> ClusterPartition:
     with np.errstate(over="ignore"):  # a range past the float range gives f = inf
         f = float(lam[0] / lam[nz - 1])
     return ClusterPartition(sizes=tuple(sizes), g_eff=float(g_eff), chi=float(chi), f=f)
+
+
+def detect_cluster(eigs, g_hat: float, thresh: float) -> tuple[int, bool]:
+    """Width of the leading eigenvalue cluster of a non-increasing spectrum.
+
+    r_hat is the width of the ratio-g_hat cluster that starts at the leading
+    eigenvalue, by the rule `g_partition` uses.  The stop flag is set when
+    the first excluded eigenvalue falls below thresh (a missing one counts
+    as below).
+    """
+    lam = _check_spectrum(eigs, g_hat)
+    if not thresh > 0:
+        raise ParameterError(f"thresh must be positive, got {thresh}")
+    if lam[0] < thresh:
+        raise NoClusterError(
+            f"leading eigenvalue {lam[0]:.6e} is below thresh={thresh}"
+        )
+    r_hat = _cluster_width(lam, 0, g_hat)
+    stop = r_hat == lam.size or lam[r_hat] < thresh
+    return r_hat, stop

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import SupportSchedule
-from .errors import DimensionError, ParameterError, PsdError
+from .errors import DimensionError, ParameterError, PsdError, SpectralGapError
 from .linalg import (
     empirical_covariance,  # unused here, but perfbench traces ddnpca.theory.empirical_covariance
-    sin_theta_bound,
     spectral_norm,
     subspace_error,
     sym_eig,
@@ -191,7 +190,8 @@ def verify_m2_bound(schedule: SupportSchedule, A, out) -> tuple[float, float, bo
 
 
 def sin_theta_gap_check(A_full, H, r: int) -> tuple[float, float]:
-    """Compare the measured rotation of the top-r eigenspace against its bound.
+    """Compare the measured rotation of the top-r eigenspace against its
+    bound ||H|| / (lambda_r(A) - lambda_{r+1}(A) - ||H||).
 
     Returns (bound, measured); raises SpectralGapError when the eigenvalue
     gap net of ||H|| is not positive, in which case the bound says nothing.
@@ -204,6 +204,9 @@ def sin_theta_gap_check(A_full, H, r: int) -> tuple[float, float]:
     if H.shape != (n, n):
         raise DimensionError(f"H must be {n}x{n}, got {H.shape}")
     h_norm = spectral_norm(H)
-    bound = sin_theta_bound(w[r - 1], w[r], h_norm)
+    gap = w[r - 1] - w[r] - h_norm
+    if gap <= 0.0:
+        raise SpectralGapError(f"gap {w[r - 1]} - {w[r]} - {h_norm} = {gap} is not positive")
+    bound = h_norm / gap
     measured = subspace_error(sym_eig(np.asarray(A_full) + H)[1][:, :r], V[:, :r])
     return bound, measured

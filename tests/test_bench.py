@@ -28,7 +28,6 @@ from ddnpca.bench import (
     parse_config,
     records_to_csv,
     run_experiment,
-    summarize,
 )
 from ddnpca.cli import main
 from ddnpca.errors import ConfigError, DimensionError, ParameterError, ScheduleError
@@ -227,6 +226,33 @@ class TestParseConfigBuildsTrialObjects:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "cover" in err
         assert not (tmp_path / "out").exists()
+
+    # past numpy's index range, so numpy refuses them before allocating anything
+    PAST_INDEX_RANGE = ["n", "alpha", "beta_tilde"]
+
+    @pytest.mark.parametrize("key", PAST_INDEX_RANGE)
+    @pytest.mark.parametrize("command", ["bounds", "run"])
+    def test_integer_past_index_range_exits_2_naming_file(self, tmp_path, capsys, command,
+                                                          key):
+        path = expt1_with(tmp_path, **{key: 10**20})
+        extra = ["--trials", "1", "--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", PAST_INDEX_RANGE)
+    def test_replace_past_index_range_rejects(self, key):
+        expt1 = parse_config(CONFIG_DIR / "expt1.cfg")
+        with pytest.raises(ConfigError, match="too large"):
+            dataclasses.replace(expt1, **{key: 10**20})
+
+    def test_large_seed_and_rho_stay_valid(self, tmp_path, capsys):
+        # neither sizes an array, so neither meets numpy's index range
+        path = expt1_with(tmp_path, base_seed=2**64, rho=10**20)
+        cfg = parse_config(path)
+        assert (cfg.base_seed, cfg.rho) == (2**64, 10**20)
+        assert main(["run", str(path), "--trials", "1", "--out", str(tmp_path / "out")]) == 0
+        assert len(read_rows((tmp_path / "out" / "results.csv").read_text())) == 2
 
     @pytest.mark.parametrize("command", ["bounds", "run"])
     def test_undecodable_file_exits_2_naming_file(self, tmp_path, capsys, command):
@@ -940,11 +966,6 @@ def assert_serial_process_writes_the_same_rows(path, trials, tmp_path):
     assert drop_time(in_process) == drop_time(serial)
 
 
-class TestSummarize:
-    def test_empty(self):
-        assert summarize([]) == []
-
-
 class TestClusterPlot:
     def test_reference_spectrum(self, tmp_path):
         lam = [100.0, 100.0, 100.0, 0.1, 0.1]
@@ -977,7 +998,8 @@ class TestClusterPlot:
             if cid:
                 groups.setdefault(cid, []).append(i)
         rebuilt = tuple(tuple(groups[k]) for k in sorted(groups))
-        assert rebuilt == part.clusters
+        starts = np.cumsum((0,) + part.sizes[:-1])
+        assert rebuilt == tuple(tuple(range(a, a + size)) for a, size in zip(starts, part.sizes))
 
     def test_inconsistent_partition_rejected(self, tmp_path):
         part = g_partition([8.0, 4.0], 2.0)
@@ -1191,8 +1213,8 @@ class TestPerfbenchColumns:
 class TestProductReachability:
     """Every public top-level function and class in `src/ddnpca` is
     referenced somewhere in `src/` outside its own definition, and every
-    dataclass field is read there, so code and facts that only tests reach
-    show up here."""
+    dataclass field, method and property is read there, so code and facts
+    that only tests reach show up here."""
 
     # Each exception would be an open ROADMAP item, not a permanent exemption.
     ALLOWED = ()
@@ -1297,22 +1319,48 @@ class TestProductReachability:
     # every field of these is a column that `bench._to_csv` writes
     CSV_ROWS = ("TrialRecord", "MethodSummary")
 
+    @staticmethod
+    def src_trees():
+        """Each module of `src/ddnpca` as (stem, parsed tree)."""
+        return [(path.stem, ast.parse(path.read_text()))
+                for path in sorted((REPO / "src" / "ddnpca").glob("*.py"))]
+
+    @staticmethod
+    def read_attributes(trees):
+        """Every name read as an attribute (`x.name`) in the trees."""
+        return {sub.attr for _, tree in trees for sub in ast.walk(tree)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
     def test_every_dataclass_field_is_read(self):
         """Each annotated field of a `@dataclass` is read as an attribute
         (`x.name`) somewhere in `src/`.  The check works by name, so a name
         that several classes share (`f`, `n`, `r`) counts as read for all."""
-        fields, read = [], set()
-        for path in sorted((REPO / "src" / "ddnpca").glob("*.py")):
-            tree = ast.parse(path.read_text())
-            fields += [f"{node.name}.{item.target.id}" for node in tree.body
-                       if isinstance(node, ast.ClassDef) and node.name not in self.CSV_ROWS
-                       and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
-                               for d in node.decorator_list)
-                       for item in node.body if isinstance(item, ast.AnnAssign)]
-            read |= {sub.attr for sub in ast.walk(tree)
-                     if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+        trees = self.src_trees()
+        fields = [f"{node.name}.{item.target.id}" for _, tree in trees for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name not in self.CSV_ROWS
+                  and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                          for d in node.decorator_list)
+                  for item in node.body if isinstance(item, ast.AnnAssign)]
+        read = self.read_attributes(trees)
         assert fields
         assert [f for f in fields if f.split(".")[1] not in read] == []
+
+    @classmethod
+    def unread_members(cls):
+        """Each method and property of a class in `src/`, dunders aside, as
+        `module.Class.name`, that no attribute read in `src/` names; matched
+        by name, as the dataclass-field check is."""
+        trees = cls.src_trees()
+        read = cls.read_attributes(trees)
+        return [f"{stem}.{node.name}.{item.name}" for stem, tree in trees for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                for item in node.body if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+                and item.name not in read]
+
+    def test_every_method_and_property_is_read(self):
+        """A method or property that nothing in `src/` reads serves only tests."""
+        assert self.unread_members() == []
 
 
 class TestNoUnusedImports:

@@ -34,12 +34,11 @@ from ddnpca.estimators import (
     block_eig,
     cluster_evd,
     deflate,
-    detect_cluster,
     reduce_block,
     simple_evd,
 )
 from ddnpca.linalg import _fix_signs, empirical_covariance, subspace_error, sym_eig
-from ddnpca.spectrum import g_partition
+from ddnpca.spectrum import detect_cluster, g_partition
 
 
 def random_orthonormal(n, k, rng):

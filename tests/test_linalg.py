@@ -9,11 +9,11 @@ from ddnpca.linalg import (
     _fix_signs,
     check_basis,
     empirical_covariance,
-    sin_theta_bound,
     spectral_norm,
     subspace_error,
     sym_eig,
 )
+from ddnpca.theory import sin_theta_gap_check
 
 
 def unpruned_norm(stack):
@@ -404,15 +404,19 @@ class TestEmpiricalCovariance:
 
 
 class TestSinThetaBound:
+    """The bound ||H|| / (lambda_r - lambda_{r+1} - ||H||) as
+    `theory.sin_theta_gap_check` forms it, on diagonal A and H."""
+
     def test_no_perturbation(self):
-        assert sin_theta_bound(1.0, 0.0, 0.0) == 0.0
+        assert sin_theta_gap_check(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1) == (0.0, 0.0)
 
     def test_direct_formula(self):
-        assert sin_theta_bound(1.0, 0.2, 0.4) == pytest.approx(1.0, rel=1e-12)
+        bound, _ = sin_theta_gap_check(np.diag([1.0, 0.2]), np.diag([0.0, 0.4]), 1)
+        assert bound == pytest.approx(1.0, rel=1e-12)
 
     def test_gap_error(self):
         with pytest.raises(SpectralGapError):
-            sin_theta_bound(1.0, 0.5, 0.6)
+            sin_theta_gap_check(np.diag([1.0, 0.5]), np.diag([0.0, 0.6]), 1)
 
     def test_oracle_spot_sweep(self):
         # measured rotation of the top eigenspace never exceeds the bound
@@ -431,7 +435,7 @@ class TestSinThetaBound:
             B = rng.standard_normal((n, n))
             H = 0.15 * (B + B.T) / (2 * np.sqrt(n))
             try:
-                b = sin_theta_bound(lam[r - 1], lam[r], spectral_norm(H))
+                b, _ = sin_theta_gap_check(A, H, r)
             except SpectralGapError:
                 continue
             checked += 1

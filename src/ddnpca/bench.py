@@ -18,9 +18,9 @@ import numpy as np
 
 from . import datagen
 from .errors import ConfigError, DdnPcaError, ParameterError, SpectralGapError
-from .estimators import block_eig, cluster_evd, detect_cluster, reduce_block, simple_evd
+from .estimators import block_eig, cluster_evd, reduce_block, simple_evd
 from .linalg import one_blas_thread, subspace_error
-from .spectrum import ClusterPartition, g_partition
+from .spectrum import ClusterPartition, detect_cluster, g_partition
 from .theory import (
     BoundInputs,
     alpha0_cluster,

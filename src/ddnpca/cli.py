@@ -53,10 +53,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     # both counts before either sweep: a bad second one must not wait for the first,
     # and a sweep of no draws would report [ok] having checked nothing
-    for name in ("draws", "instances"):
-        if getattr(args, name) < 1 or args.seed < 0:
+    for name, count in (("draws", args.draws), ("instances", args.instances)):
+        if count < 1 or args.seed < 0:
             raise ParameterError(f"need {name} >= 1 and seed >= 0, "
-                                 f"got {name}={getattr(args, name)}, seed={args.seed}")
+                                 f"got {name}={count}, seed={args.seed}")
     failed = False
 
     violations, worst = bench.block_sum_bound_sweep(draws=args.draws, seed=args.seed)

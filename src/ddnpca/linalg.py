@@ -142,7 +142,9 @@ def empirical_covariance(Y) -> np.ndarray:
     n, alpha = Y.shape
     if alpha < 1:
         raise DimensionError("Y must have at least one column")
-    return (Y @ Y.T) / alpha
+    C = Y @ Y.T
+    C /= alpha
+    return C
 
 
 @contextlib.contextmanager

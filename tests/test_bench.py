@@ -1,8 +1,10 @@
 import ast
+import ctypes
 import dataclasses
 import importlib
 import inspect
 import itertools
+import json
 import math
 import os
 import re
@@ -19,7 +21,7 @@ import pytest
 
 from csv_rows import read_rows
 from standalone import standalone_trial
-from ddnpca import bench, datagen, estimators, linalg
+from ddnpca import bench, cli, datagen, estimators, linalg
 from ddnpca.bench import (
     ExperimentConfig,
     TrialRecord,
@@ -1081,6 +1083,10 @@ class TestCli:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
             parse_config(path, **{"trials" if flag == "--trials" else "base_seed": int(value)})
 
+    def test_malloc_thresholds_left_alone_where_libc_has_no_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._fix_malloc_thresholds()  # returns, having set nothing
+
     def test_run_reports_derated_threshold(self, tmp_path, capsys):
         rc = main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "1",
                    "--out", str(tmp_path)])
@@ -1158,6 +1164,68 @@ class TestCli:
         for r in range(1, 41):
             cfg = dataclasses.replace(expt1, r=r, lambda_diag=(f,) * (r - 1) + (1.0,))
             assert "not applicable: violated condition" not in bench.bounds_report(cfg), r
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+class TestMallocThresholds:
+    """`run` fixes glibc's mmap and trim thresholds, so that its block
+    buffers come back from the heap instead of being mapped and faulted in
+    afresh, whatever the process freed before.  Faults are counted in a
+    subprocess: once any `run` has fixed the thresholds, they hold for the
+    rest of the process, this one included."""
+
+    # MALLOC_TRIM_THRESHOLD_ alone freezes glibc's mmap threshold at 128 kB,
+    # the slow mode forced; MALLOC_PERTURB_ fills freed and new chunks, so a
+    # buffer read before it is written changes the output
+    SLOW_ENV = {"MALLOC_TRIM_THRESHOLD_": "268435456", "MALLOC_PERTURB_": "165"}
+    RUNS = (("missing_tall", REPO / "perfbench" / "missing_tall.cfg", 5),
+            ("expt1", CONFIG_DIR / "expt1.cfg", 2))
+    SCRIPT = ("import json, resource, sys\n"
+              "from ddnpca.cli import main\n"
+              "faults = []\n"
+              "for out, cfg, trials in json.loads(sys.argv[1]):\n"
+              "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "    assert main(['run', cfg, '--trials', str(trials), '--seed', '7',"
+              " '--out', out]) == 0\n"
+              "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+              "print(json.dumps(faults))\n")
+
+    @pytest.fixture(scope="class")
+    def slow_env(self, tmp_path_factory):
+        """The output directory of each run under SLOW_ENV, and the minor
+        faults of three missing_tall runs in one process, then expt1's."""
+        base = tmp_path_factory.mktemp("slow_env")
+        missing, expt1 = [(str(base / name), str(cfg), trials) for name, cfg, trials in self.RUNS]
+        env = {**os.environ, **self.SLOW_ENV, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               json.dumps([missing] * 3 + [expt1])], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return base, json.loads(proc.stdout.splitlines()[-1])
+
+    def test_later_runs_fault_in_no_block_pages(self, slow_env):
+        # glibc's defaults under SLOW_ENV map each 3.2 MB block afresh: about
+        # 14 800 faults per run.  Python's own small-object arenas are mapped
+        # outside malloc and can add ~200 to a run now and then, so the
+        # smaller of the second and third runs is held to the bound.
+        faults = slow_env[1]
+        assert min(faults[1:3]) < 100, faults
+
+    @pytest.mark.parametrize("name, cfg, trials", RUNS, ids=[r[0] for r in RUNS])
+    def test_outputs_do_not_depend_on_malloc_state(self, slow_env, tmp_path, name, cfg, trials):
+        assert main(["run", str(cfg), "--trials", str(trials), "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+        for csv_name, timed in (("results.csv", "time_ms"), ("summary.csv", "mean_time_ms")):
+            slow, here = ([{k: v for k, v in row.items() if k != timed}
+                           for row in read_rows((directory / csv_name).read_text())]
+                          for directory in (slow_env[0] / name, tmp_path))
+            assert slow == here, csv_name
 
 
 class TestPerfbenchNames:

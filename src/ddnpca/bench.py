@@ -503,14 +503,12 @@ def block_sum_bound_sweep(draws: int, seed: int):
     shape `_BLOCK_SUM_SHAPE`, each starting at a random coordinate.
 
     Returns (violations, worst_ratio) where worst_ratio is the largest
-    lhs/rhs observed.  Every draw's n x n sum is built in one buffer, so its
-    pages stay resident for the sweep instead of being faulted in per draw.
+    lhs/rhs observed.
     """
     n, alpha, s, rho, beta_tilde = _BLOCK_SUM_SHAPE
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
-    S = np.empty((n, n))
     for _ in range(draws):
         start = int(rng.integers(0, n))
         schedule = datagen.generate_support_schedule(
@@ -518,7 +516,7 @@ def block_sum_bound_sweep(draws: int, seed: int):
         )
         # One (alpha, s, s) draw: the stream of one (s, s) draw per frame.
         B = rng.standard_normal((alpha, s, s))
-        lhs, rhs, holds = verify_m2_bound(schedule, np.swapaxes(B, 1, 2) @ B, out=S)
+        lhs, rhs, holds = verify_m2_bound(schedule, np.swapaxes(B, 1, 2) @ B)
         worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
         if not holds:
             violations += 1

@@ -19,9 +19,9 @@ def _fix_malloc_thresholds() -> None:
     """Fix glibc's mmap threshold at 32 MiB, the ceiling of its dynamic rule,
     and its trim threshold at twice that, as the rule sets it, for the rest of
     the process.  Left dynamic, both follow what the process freed before, and
-    in some processes every run faulted its block buffers in afresh (~5% of
-    missing_tall's speed).  Outputs do not depend on it.  Does nothing where
-    libc has no `mallopt`."""
+    in some processes every `run` faulted its block buffers in afresh (~5% of
+    missing_tall's speed) and every block-sum draw of `verify` its n x n sum.
+    Outputs do not depend on it.  Does nothing where libc has no `mallopt`."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -35,7 +35,6 @@ def _fix_malloc_thresholds() -> None:
 def _cmd_run(args) -> int:
     overrides = {"trials": args.trials, "base_seed": args.seed}
     cfg = bench.parse_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
-    _fix_malloc_thresholds()
     records, summary = bench.run_experiment(cfg, args.out)
     print(f"wrote {args.out}/results.csv ({len(records)} records)")
     print(f"thresh_used={bench.effective_thresh(cfg):g} (configured {cfg.thresh:g})")
@@ -136,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _fix_malloc_thresholds()
     try:
         return args.func(args)
     except (DdnPcaError, OSError) as exc:

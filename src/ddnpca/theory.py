@@ -141,17 +141,14 @@ def beta_frac_cluster(inp: BoundInputs) -> float:
     )
 
 
-def verify_m2_bound(schedule: SupportSchedule, A, out) -> tuple[float, float, bool]:
+def verify_m2_bound(schedule: SupportSchedule, A) -> tuple[float, float, bool]:
     """Brute-force check of the block-sum norm bound.
 
     A is an (alpha, s, s) stack, one PSD matrix per frame (a list of equal
     shape matrices works too), symmetric within 1e-9.  Assembles
     sum_t I_T A_t I_T' explicitly, symmetrized unless every A_t is exactly
     symmetric, and compares its spectral norm (lhs) against
-    rho^2 * beta_tilde * max_t ||A_t|| (rhs).  The sum is built in `out`,
-    which is required and must be a writeable float64 (n, n) array, or
-    DimensionError is raised; its contents are overwritten, and the result
-    does not depend on them.
+    rho^2 * beta_tilde * max_t ||A_t|| (rhs).
     """
     try:
         A = np.asarray(A, dtype=float)
@@ -173,17 +170,13 @@ def verify_m2_bound(schedule: SupportSchedule, A, out) -> tuple[float, float, bo
         if not_symmetric[t]:
             raise PsdError(f"frame {t}: matrix is not symmetric")
         raise PsdError(f"frame {t}: negative eigenvalue {w[t, 0]:.3e}")
-    n = schedule.n
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (n, n)
-            and out.flags.writeable):
-        raise DimensionError(f"out must be a writeable float64 ({n}, {n}) array")
-    out.fill(0.0)
+    S = np.zeros((schedule.n, schedule.n))
     T = schedule.supports
-    np.add.at(out, (T[:, :, None], T[:, None, :]), A)  # frame by frame, in order
+    np.add.at(S, (T[:, :, None], T[:, None, :]), A)  # frame by frame, in order
     max_norm = max(0.0, float(w[:, -1].max()))
-    # The sum S in `out` is symmetric by construction: its spectral norm is an extreme eigenvalue.
+    # S is symmetric by construction: its spectral norm is an extreme eigenvalue.
     # From exactly symmetric frames S_ij and S_ji are equal sums in one frame order: (S + S')/2 = S.
-    ws = np.linalg.eigvalsh((out + out.T) / 2.0 if asym.any() else out)
+    ws = np.linalg.eigvalsh((S + S.T) / 2.0 if asym.any() else S)
     lhs = float(max(abs(ws[0]), abs(ws[-1])))
     rhs = schedule.beta * max_norm
     return lhs, rhs, lhs <= rhs + 1e-9

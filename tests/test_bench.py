@@ -1083,9 +1083,13 @@ class TestCli:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
             parse_config(path, **{"trials" if flag == "--trials" else "base_seed": int(value)})
 
-    def test_malloc_thresholds_left_alone_where_libc_has_no_mallopt(self, monkeypatch):
+    def test_malloc_thresholds_left_alone_where_libc_has_no_mallopt(self, monkeypatch, tmp_path):
+        # every command fixes the thresholds first; without mallopt, each still runs
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-        cli._fix_malloc_thresholds()  # returns, having set nothing
+        assert main(["verify", "--draws", "1", "--instances", "1"]) == 0
+        assert main(["bounds", str(CONFIG_DIR / "expt1.cfg")]) == 0
+        assert main(["partition", str(REPO / "tests" / "data" / "golden_partition_eigs.txt"),
+                     "--g", "3", "--out", str(tmp_path / "plot.txt")]) == 0
 
     def test_run_reports_derated_threshold(self, tmp_path, capsys):
         rc = main(["run", str(CONFIG_DIR / "expt1.cfg"), "--trials", "1",
@@ -1175,11 +1179,11 @@ def _libc_has_mallopt() -> bool:
 
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
 class TestMallocThresholds:
-    """`run` fixes glibc's mmap and trim thresholds, so that its block
-    buffers come back from the heap instead of being mapped and faulted in
-    afresh, whatever the process freed before.  Faults are counted in a
-    subprocess: once any `run` has fixed the thresholds, they hold for the
-    rest of the process, this one included."""
+    """Every command fixes glibc's mmap and trim thresholds, so that `run`'s
+    block buffers and `verify`'s block-sum arrays come back from the heap
+    instead of being mapped and faulted in afresh, whatever the process freed
+    before.  Faults are counted in a subprocess: once any command has fixed
+    the thresholds, they hold for the rest of the process, this one included."""
 
     # MALLOC_TRIM_THRESHOLD_ alone freezes glibc's mmap threshold at 128 kB,
     # the slow mode forced; MALLOC_PERTURB_ fills freed and new chunks, so a
@@ -1187,27 +1191,48 @@ class TestMallocThresholds:
     SLOW_ENV = {"MALLOC_TRIM_THRESHOLD_": "268435456", "MALLOC_PERTURB_": "165"}
     RUNS = (("missing_tall", REPO / "perfbench" / "missing_tall.cfg", 5),
             ("expt1", CONFIG_DIR / "expt1.cfg", 2))
-    SCRIPT = ("import json, resource, sys\n"
+    VERIFY = ["verify", "--seed", "0", "--draws", "20", "--instances", "20"]
+    # The verify calls come first: a `run` before them would fix the
+    # thresholds whether or not `verify` does.
+    SCRIPT = ("import contextlib, io, json, resource, sys\n"
               "from ddnpca.cli import main\n"
-              "faults = []\n"
-              "for out, cfg, trials in json.loads(sys.argv[1]):\n"
+              "verify, runs = json.loads(sys.argv[1])\n"
+              "def call(argv):\n"
               "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-              "    assert main(['run', cfg, '--trials', str(trials), '--seed', '7',"
-              " '--out', out]) == 0\n"
-              "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-              "print(json.dumps(faults))\n")
+              "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "        rc = main(argv)\n"
+              "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,"
+              " rc, out.getvalue()\n"
+              "verified = [call(verify) for _ in range(3)]\n"
+              "ran = [call(['run', cfg, '--trials', str(trials), '--seed', '7', '--out', out])"
+              " for out, cfg, trials in runs]\n"
+              "print(json.dumps([verified, ran]))\n")
 
     @pytest.fixture(scope="class")
     def slow_env(self, tmp_path_factory):
-        """The output directory of each run under SLOW_ENV, and the minor
-        faults of three missing_tall runs in one process, then expt1's."""
+        """Under SLOW_ENV, in one process: the minor faults, exit code and
+        stdout of three verify calls, then the output directory of each run
+        and the minor faults of three missing_tall runs, then expt1's."""
         base = tmp_path_factory.mktemp("slow_env")
         missing, expt1 = [(str(base / name), str(cfg), trials) for name, cfg, trials in self.RUNS]
         env = {**os.environ, **self.SLOW_ENV, "PYTHONPATH": str(REPO / "src")}
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
-                               json.dumps([missing] * 3 + [expt1])], env=env,
+                               json.dumps([self.VERIFY, [missing] * 3 + [expt1]])], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
-        return base, json.loads(proc.stdout.splitlines()[-1])
+        verified, ran = json.loads(proc.stdout)
+        assert [rc for _, rc, _ in ran] == [0] * len(ran), ran
+        return base, [faults for faults, _, _ in ran], verified
+
+    def test_later_verify_calls_fault_in_no_block_sum_pages(self, slow_env):
+        # glibc's defaults under SLOW_ENV map each draw's 500 x 500 arrays
+        # afresh: about 10 300 faults per call
+        faults = [faults for faults, _, _ in slow_env[2]]
+        assert min(faults[1:3]) < 100, faults
+
+    def test_verify_output_does_not_depend_on_malloc_state(self, slow_env, capsys):
+        assert main(self.VERIFY) == 0
+        here = capsys.readouterr().out
+        assert [(rc, out) for _, rc, out in slow_env[2]] == [(0, here)] * 3
 
     def test_later_runs_fault_in_no_block_pages(self, slow_env):
         # glibc's defaults under SLOW_ENV map each 3.2 MB block afresh: about

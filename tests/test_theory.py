@@ -301,17 +301,12 @@ class TestExtremeInputs:
         assert len(lines) == 4
 
 
-def m2_bound(schedule, A):
-    """`verify_m2_bound` with a fresh (n, n) buffer for the sum."""
-    return verify_m2_bound(schedule, A, np.empty((schedule.n, schedule.n)))
-
-
 class TestVerifyM2Bound:
     def test_disjoint_identity_blocks(self):
         supports = tuple((2 * t, 2 * t + 1) for t in range(5))
         sched = SupportSchedule(n=10, supports=supports, rho=1, beta_tilde=1)
         A_list = [np.eye(2)] * 5
-        lhs, rhs, holds = m2_bound(sched, A_list)
+        lhs, rhs, holds = verify_m2_bound(sched, A_list)
         assert lhs == pytest.approx(1.0, rel=1e-12)
         assert rhs == sched.beta
         assert holds
@@ -329,7 +324,7 @@ class TestVerifyM2Bound:
         # passes some i rho = 2 times, each time for rho runs of beta_tilde
         # frames: rho^2 * beta_tilde in all
         sched = generate_support_schedule(n, alpha, s, rho, beta_tilde, start=start)
-        lhs, rhs, holds = m2_bound(sched, np.broadcast_to(np.eye(s), (alpha, s, s)))
+        lhs, rhs, holds = verify_m2_bound(sched, np.broadcast_to(np.eye(s), (alpha, s, s)))
         assert lhs == rhs == bound
         assert holds
 
@@ -341,7 +336,7 @@ class TestVerifyM2Bound:
             for T in sched.supports:
                 B = rng.standard_normal((len(T), len(T)))
                 A_list.append(B.T @ B)
-            lhs, rhs, holds = m2_bound(sched, A_list)
+            lhs, rhs, holds = verify_m2_bound(sched, A_list)
             assert holds, (lhs, rhs)
 
     def test_static_support_would_violate_but_is_rejected(self):
@@ -360,17 +355,17 @@ class TestVerifyM2Bound:
         sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), rho=1, beta_tilde=1)
         bad = [np.eye(2), np.diag([1.0, -0.5])]
         with pytest.raises(PsdError):
-            m2_bound(sched, bad)
+            verify_m2_bound(sched, bad)
 
     def test_dimension_error(self):
         sched = SupportSchedule(n=6, supports=((0, 1), (3, 4)), rho=1, beta_tilde=1)
         with pytest.raises(DimensionError):
-            m2_bound(sched, [np.eye(2), np.eye(3)])
+            verify_m2_bound(sched, [np.eye(2), np.eye(3)])
         with pytest.raises(DimensionError):
-            m2_bound(sched, [np.eye(2)])
+            verify_m2_bound(sched, [np.eye(2)])
 
         with pytest.raises(DimensionError):
-            m2_bound(sched, np.zeros((2, 3, 3)))
+            verify_m2_bound(sched, np.zeros((2, 3, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -378,7 +373,7 @@ class TestVerifyM2Bound:
         A = np.stack([np.eye(2)] * 4)
         A[2, 0, 1] = bad
         with pytest.raises(DimensionError, match="non-finite"):
-            m2_bound(sched, A)
+            verify_m2_bound(sched, A)
 
 
 def per_frame_m2_bound(schedule, A_list):
@@ -419,19 +414,15 @@ def per_frame_sweep(draws, seed, n, alpha, s, rho, beta_tilde):
 
 
 def assert_sweep_matches_per_frame(monkeypatch, draws, seed, n, alpha, s, rho, beta_tilde):
-    made, seen, buffers = [], [], []
+    made, seen = [], []
     default_rng, oracle = np.random.default_rng, bench.verify_m2_bound
 
     def capture_rng(*args, **kwargs):
         made.append(default_rng(*args, **kwargs))
         return made[-1]
 
-    def record(schedule, A, **kwargs):
-        buffers.append(kwargs.get("out"))
-        # one (n, n) buffer for the whole sweep
-        assert isinstance(buffers[0], np.ndarray) and buffers[0].shape == (n, n)
-        assert buffers[-1] is buffers[0]
-        seen.append(oracle(schedule, A, **kwargs))
+    def record(schedule, A):
+        seen.append(oracle(schedule, A))
         return seen[-1]
 
     monkeypatch.setattr(bench.np.random, "default_rng", capture_rng)
@@ -482,7 +473,7 @@ class TestM2BoundAgainstPerFrame:
         frames = [int(rng.integers(40))] if one_frame else range(40)
         for t in frames:
             A[t] += 1e-10 * max(1.0, np.abs(A[t]).max()) * rng.uniform(-1.0, 1.0, (s, s))
-        assert m2_bound(sched, A) == per_frame_m2_bound(sched, list(A))
+        assert verify_m2_bound(sched, A) == per_frame_m2_bound(sched, list(A))
 
     def test_first_bad_frame_named(self):
         sched = generate_support_schedule(40, 12, 3, 1, 1)
@@ -497,57 +488,8 @@ class TestM2BoundAgainstPerFrame:
             with pytest.raises(PsdError) as ref:
                 per_frame_m2_bound(sched, list(stack))
             with pytest.raises(PsdError, match=f"^frame {frame}: ") as got:
-                m2_bound(sched, stack)
+                verify_m2_bound(sched, stack)
             assert str(got.value) == str(ref.value)
-
-
-def read_only(a):
-    a.setflags(write=False)
-    return a
-
-
-class TestM2BoundOut:
-    """A caller's buffer changes where the sum is built, never the result."""
-
-    @staticmethod
-    def draw(seed, n, asymmetric):
-        sched = generate_support_schedule(n, 40, 3, 2, 1, start=seed % n)
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((40, 3, 3))
-        A = np.swapaxes(B, 1, 2) @ B
-        if asymmetric:  # within 1e-9: the sum is symmetrized
-            A += 1e-10 * np.abs(A).max(axis=(1, 2), keepdims=True) * rng.uniform(-1.0, 1.0, A.shape)
-        return sched, A
-
-    @pytest.mark.parametrize("asymmetric", [False, True], ids=["exact", "symmetrized"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("buffer", ["clean", "nan", "leftover"])
-    def test_result_equals_fresh_sum(self, buffer, seed, asymmetric):
-        sched, A = self.draw(seed, 60, asymmetric)
-        expected = m2_bound(sched, A)
-        if buffer == "clean":
-            out = np.zeros((60, 60))
-        elif buffer == "nan":
-            out = np.full((60, 60), np.nan)
-        else:  # what another schedule's draw left behind
-            out = np.empty((60, 60))
-            verify_m2_bound(*self.draw(seed + 100, 60, not asymmetric), out=out)
-        assert verify_m2_bound(sched, A, out=out) == expected
-        assert verify_m2_bound(sched, A, out=out) == expected  # reused as it was left
-
-    @pytest.mark.parametrize("out", [
-        np.zeros((60, 61)),
-        np.zeros((61, 61)),
-        np.zeros(3600),
-        np.zeros((60, 60), dtype=np.float32),
-        np.zeros((60, 60), dtype=np.int64),
-        np.zeros((60, 60)).tolist(),
-        read_only(np.zeros((60, 60))),
-    ], ids=["columns", "rows", "flat", "float32", "int64", "list", "read-only"])
-    def test_unusable_buffer_rejected(self, out):
-        sched, A = self.draw(0, 60, False)
-        with pytest.raises(DimensionError, match="out must be"):
-            verify_m2_bound(sched, A, out=out)
 
 
 class TestSinThetaGapCheck:
